@@ -37,7 +37,6 @@ from .dynamics import (
     asymptotic_direction,
     classify_stability,
     escape_bound,
-    fix_set,
     fixed_points,
     iterate,
     period2_line,

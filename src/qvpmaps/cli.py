@@ -523,7 +523,7 @@ def cmd_symmetric(args):
             p, r, (args.s_min, args.s_max), samples=args.samples
         )
         header = ["x", "y", "z"]
-        rows = [[pt[0], pt[1], pt[2]] for pt in pts]
+        rows = [[pt.point[0], pt.point[1], pt.point[2]] for pt in pts]
     else:
         pts = symmetric_orbit_search(
             p, r, args.period, (args.s_min, args.s_max), samples=args.samples

@@ -75,21 +75,24 @@ class GenericMapParams:
         )
         return QuadMap(const, lin, quad)
 
+    # step and step_back map the last axis of an (..., 3) array.  Reversing
+    # all axes on the way in and out keeps a single point as cheap as before,
+    # where indexing pt[..., k] would make every operand a 0-d array.
     def step(self, pt):
-        x, y, z = pt
+        x, y, z = np.asarray(pt).T
         return np.array(
             [self.alpha + self.tau * x - self.sigma * y + z + self.quad(x, y), x, y]
-        )
+        ).T
 
     def step_back(self, pt):
-        x, y, z = pt
+        x, y, z = np.asarray(pt).T
         return np.array(
             [
                 y,
                 z,
                 x - self.alpha - self.tau * y + self.sigma * z - self.quad(y, z),
             ]
-        )
+        ).T
 
     def jacobian(self, pt):
         x, y, _ = pt
@@ -383,8 +386,9 @@ class Reversor:
         )
 
     def fix_defects(self, pt):
-        """The two defining functions of Fix(h); both vanish exactly on it."""
-        x, y, z = pt
+        """The two defining functions of Fix(h) over the last axis of pt; both
+        vanish exactly on it."""
+        x, y, z = pt[..., 0], pt[..., 1], pt[..., 2]
         return x + z + self.eta, y + self.eta / 2.0
 
 
@@ -414,14 +418,10 @@ def reversor_for(p, tol=1e-12, check_points=20, check_tol=1e-10, seed=7):
     return h
 
 
-def fix_set(r):
-    """Parametrized fixed line of the reversor: s -> (s, -eta/2, -eta - s)."""
-    return r.fix_line
-
-
 def _second_fix_defects(p, r, pt):
-    """Defining functions of Fix(f o h) for the composed involution."""
-    x, y, z = pt
+    """Defining functions of Fix(f o h) for the composed involution, over the
+    last axis of pt."""
+    x, y, z = pt[..., 0], pt[..., 1], pt[..., 2]
     g1 = y + z + r.eta
     g2 = 2.0 * x - (
         p.alpha - r.eta + p.tau * y - p.sigma * z + p.quad(y, z)
@@ -457,24 +457,27 @@ def symmetric_orbit_search(
         defects = lambda pt: _second_fix_defects(p, r, pt)
 
     def half_orbit(s):
-        pt = r.fix_line(float(s))
+        """f^m of the points of Fix(h) at s, in lockstep; nan rows for orbits
+        that stop being finite or leave the 1e12 box on the way."""
+        pt = r.fix_line(np.atleast_1d(s))
+        live = np.arange(len(pt))
         for _ in range(m):
-            pt = p.step(pt)
-            if not np.all(np.isfinite(pt)) or np.max(np.abs(pt)) > 1e12:
-                return None
+            moved = p.step(pt[live])
+            ok = np.all(np.isfinite(moved), axis=-1) & (np.max(np.abs(moved), axis=-1) <= 1e12)
+            pt[live] = moved
+            pt[live[~ok]] = np.nan
+            live = live[ok]
         return pt
 
     def gfun(s, idx):
-        pt = half_orbit(s)
-        if pt is None:
-            return np.nan
-        return defects(pt)[idx]
+        return defects(half_orbit(s)[0])[idx]
 
     s_lo, s_hi = bracket
     grid = np.linspace(s_lo, s_hi, int(samples))
+    half = half_orbit(grid)
     hits = []
     for idx in range(2):
-        vals = np.array([gfun(s, idx) for s in grid])
+        vals = defects(half)[idx]
         for i in range(len(grid) - 1):
             a, b = vals[i], vals[i + 1]
             if not (np.isfinite(a) and np.isfinite(b)) or a * b > 0:
@@ -491,8 +494,8 @@ def symmetric_orbit_search(
                 else:
                     lo, flo = mid, fmid
             s_root = 0.5 * (lo + hi)
-            pt_half = half_orbit(s_root)
-            if pt_half is None:
+            pt_half = half_orbit(s_root)[0]
+            if np.isnan(pt_half).any():
                 continue
             d1, d2 = defects(pt_half)
             if max(abs(d1), abs(d2)) > certify_tol * 10:

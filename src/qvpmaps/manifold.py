@@ -710,6 +710,16 @@ def hausdorff_distance(pts_a, pts_b):
     return max(directed(pts_a, pts_b), directed(pts_b, pts_a))
 
 
+#: Bisection levels that heteroclinic_from_symmetry evaluates per lockstep
+#: round: every dyadic midpoint this many levels below each live bracket.
+_SPECULATION_DEPTH = 6
+#: Halvings after which a heteroclinic bracket stops, converged or not.
+_BISECTION_CAP = 160
+#: heteroclinic_from_symmetry drops finished orbits from its lockstep arrays
+#: in blocks of this many rows.
+_ROW_BLOCK = 32
+
+
 @dataclass(frozen=True)
 class HeteroclinicPoint:
     """Certified heteroclinic point on the reversor's fixed line."""
@@ -718,15 +728,6 @@ class HeteroclinicPoint:
     s: float
     forward_distance: float
     backward_distance: float
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.point, dtype=dtype)
-
-    def __iter__(self):
-        return iter(self.point)
-
-    def __getitem__(self, i):
-        return self.point[i]
 
 
 def heteroclinic_from_symmetry(
@@ -744,12 +745,26 @@ def heteroclinic_from_symmetry(
     Forward orbits from the fixed line that shadow the stable manifold of
     the type-A fixed point approach it and then depart along its 1D unstable
     eigenvector; the departure side flips across each intersection of Fix(h)
-    with the stable manifold.  Sign changes over a uniform sample are
-    bisected, first in double and then in extended precision (the cube-root
-    conditioning of the closest approach puts the double-precision floor
-    near 1e-6 for contraction rates of a few percent), and each hit is
+    with the stable manifold.  The side is taken on a uniform sample of the
+    bracket, and each sign change is bisected in np.longdouble until the
+    midpoint equals an end or after _BISECTION_CAP halvings.  Each root is
     certified by forward convergence to one fixed point and backward
     convergence to the other, both below conv_tol.
+
+    Each stage runs all its orbits in lockstep on long-double arrays and
+    drops them as they finish: the sample scan, the bisection and the
+    certification.  A bisection round evaluates, in one lockstep call, every
+    dyadic midpoint down to _SPECULATION_DEPTH levels below each live
+    bracket, then walks each bracket's tree of midpoints with the
+    one-at-a-time rule.  The roots are bitwise those of bisecting one
+    midpoint at a time, with one round per _SPECULATION_DEPTH halvings: each
+    round lasts as long as its slowest orbit, and near a root that orbit
+    shadows the stable manifold for thousands of steps.
+
+    The cube-root conditioning of the closest approach puts the
+    double-precision floor near 1e-6 for contraction rates of a few percent,
+    so the certificate relies on np.longdouble being the 80-bit x87 format
+    (as on x86-64 Linux); where it is float64 the search runs in double.
     """
     fps = fixed_points(p)
     if len(fps) != 2:
@@ -767,6 +782,9 @@ def heteroclinic_from_symmetry(
         kappa = escape_bound(p.quad, p.alpha, p.tau, p.sigma)
     escape_lim = 1.000001 * kappa if kappa is not None else 1e6
 
+    # Orbits are (x, y, z) triples of (N,) long-double arrays.  The sums
+    # associate left, as np.sum and @ do over three long doubles, and every
+    # distance is rounded to double before it is compared.
     ld = np.longdouble
     alpha, tau, sigma = ld(p.alpha), ld(p.tau), ld(p.sigma)
     qa, qb, qc = ld(p.quad.a), ld(p.quad.b), ld(p.quad.c)
@@ -775,100 +793,143 @@ def heteroclinic_from_symmetry(
     x_o = other.location.astype(ld)
     w_u_ld = w_u.astype(ld)
 
-    def step_ld(pt):
-        x, y, z = pt
-        return np.array(
-            [alpha + tau * x - sigma * y + z + qa * x * x + qb * x * y + qc * y * y, x, y],
-            dtype=ld,
-        )
+    def step_ld(x, y, z):
+        return alpha + tau * x - sigma * y + z + qa * x * x + qb * x * y + qc * y * y, x, y
 
-    def step_back_ld(pt):
-        x, y, z = pt
-        return np.array(
-            [y, z, x - alpha - tau * y + sigma * z - (qa * y * y + qb * y * z + qc * z * z)],
-            dtype=ld,
-        )
+    def step_back_ld(x, y, z):
+        return y, z, x - alpha - tau * y + sigma * z - (qa * y * y + qb * y * z + qc * z * z)
 
     def line_ld(s):
-        s = ld(s)
-        return np.array([s, -eta / 2, -eta - s], dtype=ld)
+        s = np.array(s, dtype=ld)  # a copy: episode_sides writes into its orbits
+        return s, np.full_like(s, -eta / 2), -eta - s
 
-    def episode_side(s):
-        """Sign of the unstable component at first exit from the first
-        close-approach episode; nan when the orbit never comes close."""
-        pt = line_ld(s)
-        in_episode = False
-        best = np.inf
-        for _ in range(budget):
-            pt = step_ld(pt)
-            d = float(np.sqrt(np.sum((pt - x_t) ** 2)))
-            if not in_episode:
-                if d < capture_radius:
-                    in_episode = True
-                    best = d
-                elif float(np.max(np.abs(pt))) > escape_lim:
-                    return np.nan, np.inf
-            else:
-                best = min(best, d)
-                if d > exit_radius:
-                    proj = float((pt - x_t) @ w_u_ld)
-                    return math.copysign(1.0, proj) if proj else np.nan, best
-        return np.nan, best
+    def offsets(pt, c):
+        return pt[0] - c[0], pt[1] - c[1], pt[2] - c[2]
 
-    def certified_dists(s):
-        fwd = np.inf
-        pt = line_ld(s)
-        for _ in range(budget):
-            pt = step_ld(pt)
-            fwd = min(fwd, float(np.sqrt(np.sum((pt - x_t) ** 2))))
-            if float(np.max(np.abs(pt))) > escape_lim:
-                break
-        bwd = np.inf
-        pt = line_ld(s)
-        for _ in range(budget):
-            pt = step_back_ld(pt)
-            bwd = min(bwd, float(np.sqrt(np.sum((pt - x_o) ** 2))))
-            if float(np.max(np.abs(pt))) > escape_lim:
-                break
-        return fwd, bwd
+    def distance(pt, c):
+        dx, dy, dz = offsets(pt, c)
+        return np.sqrt(dx * dx + dy * dy + dz * dz).astype(float)
 
-    def bisect(lo, hi, s_lo_side, iters):
-        flo = s_lo_side
-        lo, hi = ld(lo), ld(hi)
-        for _ in range(iters):
-            mid = (lo + hi) / 2
-            if mid == lo or mid == hi:
-                break
-            fmid, _ = episode_side(mid)
-            if not np.isfinite(fmid):
-                hi = mid  # shrink; the flank re-resolves on later iterations
-                continue
-            if fmid == flo:
-                lo = mid
-            else:
-                hi = mid
+    def escaped(pt):
+        x, y, z = pt
+        return np.maximum(np.maximum(abs(x), abs(y)), abs(z)).astype(float) > escape_lim
+
+    def episode_sides(s):
+        """Sign of the unstable component of each orbit at its first exit from
+        its first close-approach episode; nan when it never comes close."""
+        sides = np.full(len(s), np.nan)
+        rows = np.arange(len(s))  # the entry of sides each lockstep row fills
+        running = np.ones(len(s), dtype=bool)
+        caught = np.zeros(len(s), dtype=bool)
+        pt = line_ld(s)
+        # Finished orbits leave the arrays in blocks of _ROW_BLOCK rows; until
+        # then they are masked.  Dropping them one by one would make arrays of
+        # every length, and numpy keeps freed buffers under 1 KiB for each
+        # length, which stays resident.  A finished orbit is parked at the
+        # target, as special values are slow in x87 arithmetic; nothing reads
+        # it, so if it drifts off and overflows, that is not reported.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(budget):
+                if not len(rows):
+                    break
+                pt = step_ld(*pt)
+                d = distance(pt, x_t)
+                near = d < capture_radius
+                gone = running & ~caught & ~near & escaped(pt)
+                out = running & caught & (d > exit_radius)
+                if out.any():
+                    dx, dy, dz = offsets([c[out] for c in pt], x_t)
+                    proj = (dx * w_u_ld[0] + dy * w_u_ld[1] + dz * w_u_ld[2]).astype(float)
+                    sides[rows[out]] = np.where(proj != 0, np.copysign(1.0, proj), np.nan)
+                caught |= near
+                done = gone | out
+                if done.any():
+                    running &= ~done
+                    for c, t in zip(pt, x_t):
+                        c[done] = t
+                    n = np.count_nonzero(running)
+                    size = -(-n // _ROW_BLOCK) * _ROW_BLOCK
+                    if size < len(rows):
+                        # the running rows, padded with finished ones
+                        keep = np.argsort(~running, kind="stable")[:size]
+                        rows, running, caught = rows[keep], running[keep], caught[keep]
+                        pt = tuple(c[keep] for c in pt)
+        return sides
+
+    def bisect(lo, hi, flo):
+        """Root of each bracket [lo, hi] whose lower end has side flo."""
+        lo, hi = lo.astype(ld), hi.astype(ld)
+        halvings = np.zeros(len(lo), dtype=int)
+        live = np.arange(len(lo))
+        while len(live):
+            # levels[k][i, j]: midpoint of node j at depth k below bracket live[i];
+            # the children of node j are nodes 2j (lower half) and 2j + 1.
+            ends_lo, ends_hi = lo[live, None], hi[live, None]
+            levels = []
+            for _ in range(_SPECULATION_DEPTH):
+                mid = (ends_lo + ends_hi) / 2
+                levels.append(mid)
+                ends_lo = np.stack([ends_lo, mid], axis=-1).reshape(len(live), -1)
+                ends_hi = np.stack([mid, ends_hi], axis=-1).reshape(len(live), -1)
+            mids = np.concatenate(levels, axis=1)
+            sides = episode_sides(mids.ravel()).reshape(mids.shape)
+            still = []
+            for i, b in enumerate(live):
+                node = 0
+                for k in range(_SPECULATION_DEPTH):
+                    if halvings[b] == _BISECTION_CAP:
+                        break
+                    halvings[b] += 1
+                    mid = levels[k][i, node]
+                    if mid == lo[b] or mid == hi[b]:
+                        break
+                    if sides[i, 2**k - 1 + node] == flo[b]:
+                        lo[b] = mid
+                        node = 2 * node + 1
+                    else:  # a nan side shrinks too; the flank re-resolves later
+                        hi[b] = mid
+                        node = 2 * node
+                else:
+                    still.append(b)
+            live = np.array(still, dtype=int)
         return (lo + hi) / 2
 
+    def closest_approach(pt, step, c):
+        """Least distance to c over each orbit's first budget steps, stopping
+        after the step that leaves the escape box."""
+        best = np.full(len(pt[0]), np.inf)
+        live = np.arange(len(best))
+        for _ in range(budget):
+            if not len(live):
+                break
+            pt = step(*pt)
+            d = distance(pt, c)
+            best[live] = np.where(d < best[live], d, best[live])
+            gone = escaped(pt)
+            if gone.any():
+                keep = ~gone
+                live = live[keep]
+                pt = tuple(a[keep] for a in pt)
+        return best
+
     grid = np.linspace(bracket[0], bracket[1], int(samples))
-    sides = np.full(len(grid), np.nan)
-    for i, s in enumerate(grid):
-        sides[i], _ = episode_side(s)
+    sides = episode_sides(grid)
+    lower, upper = sides[:-1], sides[1:]
+    flips = np.flatnonzero(np.isfinite(lower) & np.isfinite(upper) & (lower != upper))
+    roots = bisect(grid[flips], grid[flips + 1], lower[flips])
+    fwd = closest_approach(line_ld(roots), step_ld, x_t)
+    bwd = closest_approach(line_ld(roots), step_back_ld, x_o)
     hits = []
-    for i in range(len(grid) - 1):
-        a, b = sides[i], sides[i + 1]
-        if not (np.isfinite(a) and np.isfinite(b)) or a == b:
-            continue
-        s_root = bisect(grid[i], grid[i + 1], a, 160)
-        fwd, bwd = certified_dists(s_root)
-        if fwd < conv_tol and bwd < conv_tol:
-            pt = np.asarray(line_ld(s_root), dtype=float)
-            if not any(np.linalg.norm(pt - np.asarray(h)) < 1e-7 for h in hits):
+    for s_root, f, b in zip(roots, fwd, bwd):
+        if f < conv_tol and b < conv_tol:
+            pt = np.array(line_ld(s_root), dtype=float)
+            if not any(np.linalg.norm(pt - h.point) < 1e-7 for h in hits):
                 hits.append(
                     HeteroclinicPoint(
                         point=pt,
                         s=float(s_root),
-                        forward_distance=fwd,
-                        backward_distance=bwd,
+                        forward_distance=float(f),
+                        backward_distance=float(b),
                     )
                 )
     return hits

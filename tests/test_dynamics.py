@@ -9,7 +9,6 @@ from qvpmaps import (
     asymptotic_direction,
     classify_stability,
     escape_bound,
-    fix_set,
     fixed_points,
     invert_quadratic,
     is_volume_preserving,
@@ -29,6 +28,7 @@ from qvpmaps.dynamics import (
     DynamicsError,
     NonGenericError,
     NotPositiveDefiniteError,
+    _second_fix_defects,
 )
 
 
@@ -332,7 +332,7 @@ class TestFixSet:
     def test_line_points_fixed(self):
         p = params(0.0, -0.3)
         h = reversor_for(p)
-        line = fix_set(h)
+        line = h.fix_line
         for s in (-1.0, 0.0, 0.7, 2.5):
             pt = line(s)
             assert np.max(np.abs(h(pt) - pt)) < 1e-14
@@ -349,7 +349,44 @@ class TestFixSet:
         assert np.allclose(h(np.zeros(3)), np.zeros(3))
 
 
+class TestBatchedStep:
+    def test_batch_matches_points(self):
+        p = params(0.3, -0.7, 0.2, 0.4, 0.3, 0.3)
+        rng = np.random.default_rng(3)
+        # a (3, 3) batch is where unpacking the rows would go unnoticed
+        for shape in ((3, 3), (7, 3), (2, 5, 3)):
+            pts = rng.standard_normal(shape)
+            flat = pts.reshape(-1, 3)
+            for f in (p.step, p.step_back):
+                want = np.array([f(q) for q in flat]).reshape(shape)
+                assert np.array_equal(f(pts), want)
+
+    def test_defects_match_points(self):
+        p = params(0.1, 0.4, 0.2)
+        h = reversor_for(p)
+        pts = np.random.default_rng(4).standard_normal((3, 3))
+        for f in (h.fix_defects, lambda pt: _second_fix_defects(p, h, pt)):
+            got = np.array(f(pts))
+            want = np.array([f(q) for q in pts]).T
+            assert np.array_equal(got, want)
+
+
 class TestSymmetricOrbitSearch:
+    @pytest.mark.parametrize(
+        "alpha, want",
+        [
+            (0.0, [[-2.414213562372976, -1.0, 0.4142135623729759],
+                   [0.4142135623730727, -1.0, -2.4142135623730727]]),
+            (-1.0, [[-2.999999999998834, -1.0, 0.9999999999988338],
+                    [1.0000000000000975, -1.0, -3.0000000000000977]]),
+        ],
+    )
+    def test_period4_hits_exact(self, alpha, want):
+        p = params(alpha, 2.0)
+        h = reversor_for(p)
+        hits = symmetric_orbit_search(p, h, 4, (-3.0, 3.0), samples=600)
+        assert [hit.tolist() for hit in hits] == want
+
     def test_saddle_node_fixed_point_found(self):
         # at the saddle-node boundary the degenerate fixed point sits on Fix(h)
         tau = 0.8

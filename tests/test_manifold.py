@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from qvpmaps import GenericMapParams, fixed_points, reversor_for
+from qvpmaps import GenericMapParams, escape_bound, fixed_points, reversor_for
 from qvpmaps.manifold import (
     ManifoldError,
     NonHyperbolicError,
@@ -202,3 +204,130 @@ class TestIntersectAndSymmetry:
             assert cosang > np.cos(np.radians(25.0))
             checked = True
         assert checked
+
+
+def scalar_heteroclinic_search(p, r, bracket, samples, capture_radius=0.15,
+                               exit_radius=0.3, conv_tol=1e-6, budget=2500):
+    """Reference: the one-orbit-at-a-time search that the lockstep
+    heteroclinic_from_symmetry replaces, as (point, s, fwd, bwd) tuples."""
+    fps = fixed_points(p)
+    target = next(f for f in fps if f.classification == "type_A")
+    other = next(f for f in fps if f is not target)
+    w_u = linear_data(p, target).unstable_basis[:, 0]
+    escape_lim = 1e6
+    if p.quad.is_positive_definite():
+        escape_lim = 1.000001 * escape_bound(p.quad, p.alpha, p.tau, p.sigma)
+
+    ld = np.longdouble
+    alpha, tau, sigma = ld(p.alpha), ld(p.tau), ld(p.sigma)
+    qa, qb, qc = ld(p.quad.a), ld(p.quad.b), ld(p.quad.c)
+    eta = ld(r.eta)
+    x_t = target.location.astype(ld)
+    x_o = other.location.astype(ld)
+    w_u_ld = w_u.astype(ld)
+
+    def step_ld(pt):
+        x, y, z = pt
+        return np.array(
+            [alpha + tau * x - sigma * y + z + qa * x * x + qb * x * y + qc * y * y, x, y],
+            dtype=ld,
+        )
+
+    def step_back_ld(pt):
+        x, y, z = pt
+        return np.array(
+            [y, z, x - alpha - tau * y + sigma * z - (qa * y * y + qb * y * z + qc * z * z)],
+            dtype=ld,
+        )
+
+    def line_ld(s):
+        s = ld(s)
+        return np.array([s, -eta / 2, -eta - s], dtype=ld)
+
+    def episode_side(s):
+        pt = line_ld(s)
+        in_episode = False
+        for _ in range(budget):
+            pt = step_ld(pt)
+            d = float(np.sqrt(np.sum((pt - x_t) ** 2)))
+            if not in_episode:
+                if d < capture_radius:
+                    in_episode = True
+                elif float(np.max(np.abs(pt))) > escape_lim:
+                    return np.nan
+            elif d > exit_radius:
+                proj = float((pt - x_t) @ w_u_ld)
+                return math.copysign(1.0, proj) if proj else np.nan
+        return np.nan
+
+    def certified_dists(s):
+        dists = []
+        for step, centre in ((step_ld, x_t), (step_back_ld, x_o)):
+            best = np.inf
+            pt = line_ld(s)
+            for _ in range(budget):
+                pt = step(pt)
+                best = min(best, float(np.sqrt(np.sum((pt - centre) ** 2))))
+                if float(np.max(np.abs(pt))) > escape_lim:
+                    break
+            dists.append(best)
+        return dists
+
+    def bisect(lo, hi, flo, iters=160):
+        lo, hi = ld(lo), ld(hi)
+        for _ in range(iters):
+            mid = (lo + hi) / 2
+            if mid == lo or mid == hi:
+                break
+            fmid = episode_side(mid)
+            if not np.isfinite(fmid):
+                hi = mid
+                continue
+            if fmid == flo:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+    grid = np.linspace(bracket[0], bracket[1], int(samples))
+    sides = [episode_side(s) for s in grid]
+    hits = []
+    for i in range(len(grid) - 1):
+        a, b = sides[i], sides[i + 1]
+        if not (np.isfinite(a) and np.isfinite(b)) or a == b:
+            continue
+        s_root = bisect(grid[i], grid[i + 1], a)
+        fwd, bwd = certified_dists(s_root)
+        if fwd < conv_tol and bwd < conv_tol:
+            pt = np.asarray(line_ld(s_root), dtype=float)
+            if not any(np.linalg.norm(pt - h[0]) < 1e-7 for h in hits):
+                hits.append((pt, float(s_root), fwd, bwd))
+    return hits
+
+
+class TestHeteroclinicLockstep:
+    @pytest.mark.parametrize(
+        "args, bracket, samples",
+        [
+            ((0.0, -0.3, 0.0, 0.5, 0.0, 0.5), (-0.2, -0.05), 60),
+            # alpha, sigma != 0 and no power-of-two coefficients, so that the
+            # association of every sum reaches the last bits
+            ((0.05, -0.4, 0.1, 0.45, 0.1, 0.45), (0.0, 0.1), 15),
+        ],
+    )
+    def test_bitwise_equal_to_scalar_search(self, args, bracket, samples):
+        p = GenericMapParams.make(*args)
+        h = reversor_for(p)
+        got = heteroclinic_from_symmetry(p, h, bracket, samples=samples)
+        want = scalar_heteroclinic_search(p, h, bracket, samples=samples)
+        assert want
+        assert len(got) == len(want)
+        for g, (pt, s, fwd, bwd) in zip(got, want):
+            assert g.s == s
+            assert g.forward_distance == fwd
+            assert g.backward_distance == bwd
+            assert np.array_equal(g.point, pt)
+
+    def test_empty_grid(self, fig2):
+        p, _ = fig2
+        assert heteroclinic_from_symmetry(p, reversor_for(p), (-0.2, -0.05), samples=1) == []
