@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .normalform import QuadraticForm2
-from .polymap import AffineMap, QuadMap
+from .normalform import QuadraticForm2, _case1_template
+from .polymap import AffineMap
 
 TYPE_A = "type_A"
 TYPE_B = "type_B"
@@ -65,19 +65,12 @@ class GenericMapParams:
 
     def as_quadmap(self):
         q = self.quad
-        const = np.array([self.alpha, 0.0, 0.0])
-        lin = np.array(
-            [[self.tau, -self.sigma, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
-        )
-        quad = np.zeros((3, 3, 3))
-        quad[0] = np.array(
-            [[2 * q.a, q.b, 0.0], [q.b, 2 * q.c, 0.0], [0.0, 0.0, 0.0]]
-        )
-        return QuadMap(const, lin, quad)
+        return _case1_template(self.alpha, self.tau, self.sigma, q.a, q.b, q.c)
 
-    # step and step_back map the last axis of an (..., 3) array.  Reversing
-    # all axes on the way in and out keeps a single point as cheap as before,
-    # where indexing pt[..., k] would make every operand a 0-d array.
+    # step and step_back map the last axis of an (..., 3) array, in the
+    # array's precision (float64 or np.longdouble).  Reversing all axes on
+    # the way in and out keeps a single point cheap, where indexing
+    # pt[..., k] would make every operand a 0-d array.
     def step(self, pt):
         x, y, z = np.asarray(pt).T
         return np.array(
@@ -369,8 +362,9 @@ class Reversor:
     eta: float
 
     def __call__(self, pt):
+        """h over the last axis of pt."""
         pt = np.asarray(pt, dtype=float)
-        return -(_K @ pt + self.eta)
+        return -(pt[..., ::-1] + self.eta)
 
     def as_affine(self):
         return AffineMap(-_K, np.full(3, -self.eta))
@@ -379,8 +373,10 @@ class Reversor:
         return -_K
 
     def fix_line(self, s):
-        """Point of Fix(h) = {x + z = -eta, y = -eta/2} at parameter s."""
-        s = np.asarray(s, dtype=float)
+        """Point of Fix(h) = {x + z = -eta, y = -eta/2} at parameter s, in
+        long double for a long-double s and in double otherwise."""
+        s = np.asarray(s)
+        s = s.astype(np.promote_types(s.dtype, float))
         return np.stack(
             [s, np.full_like(s, -self.eta / 2.0), -self.eta - s], axis=-1
         )
@@ -405,12 +401,8 @@ def reversor_for(p, tol=1e-12, check_points=20, check_tol=1e-10, seed=7):
     if not q.is_symmetric(tol=1e-12):
         return None
     h = Reversor(eta=(p.tau - p.sigma) / q.coeff_sum())
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for pt in rng.standard_normal((check_points, 3)):
-        lhs = h(p.step(pt))
-        rhs = p.step_back(h(pt))
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    pts = np.random.default_rng(seed).standard_normal((check_points, 3))
+    worst = float(np.max(np.abs(h(p.step(pts)) - p.step_back(h(pts))), initial=0.0))
     if worst > check_tol:
         raise DynamicsError(
             f"reversor functional equation residual {worst:.3g} exceeds {check_tol}"
@@ -551,12 +543,9 @@ class _Period2Line:
         return np.stack([s, self.delta - s, s], axis=-1)
 
     def residual(self, s_values):
-        worst = 0.0
-        for s in np.atleast_1d(s_values):
-            pt = self(float(s))
-            img = self.params.step(self.params.step(pt))
-            worst = max(worst, float(np.max(np.abs(img - pt))))
-        return worst
+        pts = self(np.atleast_1d(s_values))
+        img = self.params.step(self.params.step(pts))
+        return float(np.max(np.abs(img - pts), initial=0.0))
 
 
 def periodic_count_bound(q, n, tol=1e-9):

@@ -23,6 +23,7 @@ from .dynamics import (
     escape_bound,
     fixed_points,
 )
+from .normalform import QuadraticForm2
 
 HYPERBOLIC_TOL = 1e-9
 STITCH_TOL = 1e-9
@@ -206,16 +207,19 @@ def grow_2d(
 
     x_star = fp.location
 
-    def vertex(k, phi):
-        j = k % m
-        g = k // m
-        c = eps * np.array([math.cos(phi), math.sin(phi)])
-        if fracs is not None:
-            c = fracs[j] @ c
-        pt = x_star + basis @ c
-        for _ in range(g):
-            pt = step(pt)
-        return pt
+    def ring(k, phis):
+        """Vertices of ring k at seed parameters phis: the seeds on sub-ring
+        k % m, pushed k // m steps together."""
+        seeds = []
+        for phi in phis:
+            c = eps * np.array([math.cos(phi), math.sin(phi)])
+            if fracs is not None:
+                c = fracs[k % m] @ c
+            seeds.append(x_star + basis @ c)
+        pts = np.array(seeds)
+        for _ in range(k // m):
+            pts = step(pts)
+        return pts
 
     # rotation of the seed parameter per sub-ring, so bands are stitched
     # between physically adjacent vertices despite the spiral
@@ -230,7 +234,7 @@ def grow_2d(
     truncated = False
     for k in range(n_rings):
         phis = list(np.linspace(0.0, 2 * math.pi, ring_points, endpoint=False))
-        pts = [vertex(k, f) for f in phis]
+        pts = ring(k, phis)
         # split long edges by seed-parameter midpoints
         changed = True
         while changed and len(phis) < max_ring_points:
@@ -247,8 +251,7 @@ def grow_2d(
                         changed = True
             if changed:
                 phis = sorted(f % (2 * math.pi) for f in out_phis)
-                pts = [vertex(k, f) for f in phis]
-        pts = np.asarray(pts)
+                pts = ring(k, phis)
         if box is not None and np.max(np.abs(pts)) > box:
             truncated = True
             break
@@ -370,20 +373,21 @@ def grow_1d(p, fp, kind, eps=None, depth=8, refine=None, seed_points=8, box=None
 
     branches = []
     for sign in (+1, -1):
-        def seed(s):
-            return fp.location + sign * eps * growth**s * w
-
-        def point(s, g):
-            pt = seed(s)
-            for _ in range(g):
-                pt = step(pt)
-            return pt
+        def push(entries):
+            """The points of (g, s) entries: the seeds at s stepped in
+            lockstep, each row stopping at its own generation g."""
+            gens = np.array([g for g, _ in entries])
+            pts = np.array([fp.location + sign * eps * growth**s * w for _, s in entries])
+            for g in range(1, gens.max() + 1):
+                live = gens >= g
+                pts[live] = step(pts[live])
+            return pts
 
         entries = []  # (g, s)
         for g in range(depth + 1):
             for s in np.linspace(0.0, 1.0, seed_points, endpoint=False):
                 entries.append((g, float(s)))
-        pts = [point(s, g) for g, s in entries]
+        pts = push(entries)
         truncated = False
         # refinement on the chained polyline
         changed = True
@@ -404,8 +408,7 @@ def grow_1d(p, fp, kind, eps=None, depth=8, refine=None, seed_points=8, box=None
                     changed = True
             if changed:
                 entries = sorted(set(new_entries))
-                pts = [point(s, g) for g, s in entries]
-        pts = np.asarray(pts)
+                pts = push(entries)
         if box is not None:
             inside = np.max(np.abs(pts), axis=1) <= box
             if not inside.all():
@@ -751,15 +754,18 @@ def heteroclinic_from_symmetry(
     certified by forward convergence to one fixed point and backward
     convergence to the other, both below conv_tol.
 
-    Each stage runs all its orbits in lockstep on long-double arrays and
-    drops them as they finish: the sample scan, the bisection and the
-    certification.  A bisection round evaluates, in one lockstep call, every
-    dyadic midpoint down to _SPECULATION_DEPTH levels below each live
-    bracket, then walks each bracket's tree of midpoints with the
-    one-at-a-time rule.  The roots are bitwise those of bisecting one
-    midpoint at a time, with one round per _SPECULATION_DEPTH halvings: each
-    round lasts as long as its slowest orbit, and near a root that orbit
-    shadows the stable manifold for thousands of steps.
+    Each stage runs all its orbits in lockstep and drops them as they
+    finish: the sample scan, the bisection and the certification.  Its
+    orbits are the rows of one (N, 3) np.longdouble array that starts on
+    r.fix_line and is moved by GenericMapParams.step (step_back for the
+    backward certification) with p's coefficients in long double.  A
+    bisection round evaluates, in one lockstep call, every dyadic midpoint
+    down to _SPECULATION_DEPTH levels below each live bracket, then walks
+    each bracket's tree of midpoints with the one-at-a-time rule.  The roots
+    are bitwise those of bisecting one midpoint at a time, with one round
+    per _SPECULATION_DEPTH halvings: each round lasts as long as its slowest
+    orbit, and near a root that orbit shadows the stable manifold for
+    thousands of steps.
 
     The cube-root conditioning of the closest approach puts the
     double-precision floor near 1e-6 for contraction rates of a few percent,
@@ -782,37 +788,25 @@ def heteroclinic_from_symmetry(
         kappa = escape_bound(p.quad, p.alpha, p.tau, p.sigma)
     escape_lim = 1.000001 * kappa if kappa is not None else 1e6
 
-    # Orbits are (x, y, z) triples of (N,) long-double arrays.  The sums
-    # associate left, as np.sum and @ do over three long doubles, and every
-    # distance is rounded to double before it is compared.
+    # Orbits are (N, 3) long-double arrays moved by p_ld, which is p with its
+    # coefficients as long doubles: the same values, but no step converts a
+    # Python float to long double (about 0.6 us per operation).  Sums over
+    # the last axis associate left, and every distance is rounded to double
+    # before it is compared.
     ld = np.longdouble
-    alpha, tau, sigma = ld(p.alpha), ld(p.tau), ld(p.sigma)
-    qa, qb, qc = ld(p.quad.a), ld(p.quad.b), ld(p.quad.c)
-    eta = ld(r.eta)
+    q = p.quad
+    p_ld = GenericMapParams(
+        ld(p.alpha), ld(p.tau), ld(p.sigma), QuadraticForm2(ld(q.a), ld(q.b), ld(q.c))
+    )
     x_t = target.location.astype(ld)
     x_o = other.location.astype(ld)
     w_u_ld = w_u.astype(ld)
 
-    def step_ld(x, y, z):
-        return alpha + tau * x - sigma * y + z + qa * x * x + qb * x * y + qc * y * y, x, y
-
-    def step_back_ld(x, y, z):
-        return y, z, x - alpha - tau * y + sigma * z - (qa * y * y + qb * y * z + qc * z * z)
-
-    def line_ld(s):
-        s = np.array(s, dtype=ld)  # a copy: episode_sides writes into its orbits
-        return s, np.full_like(s, -eta / 2), -eta - s
-
-    def offsets(pt, c):
-        return pt[0] - c[0], pt[1] - c[1], pt[2] - c[2]
-
     def distance(pt, c):
-        dx, dy, dz = offsets(pt, c)
-        return np.sqrt(dx * dx + dy * dy + dz * dz).astype(float)
+        return np.sqrt(((pt - c) ** 2).sum(axis=-1)).astype(float)
 
     def escaped(pt):
-        x, y, z = pt
-        return np.maximum(np.maximum(abs(x), abs(y)), abs(z)).astype(float) > escape_lim
+        return np.abs(pt).max(axis=-1).astype(float) > escape_lim
 
     def episode_sides(s):
         """Sign of the unstable component of each orbit at its first exit from
@@ -821,7 +815,7 @@ def heteroclinic_from_symmetry(
         rows = np.arange(len(s))  # the entry of sides each lockstep row fills
         running = np.ones(len(s), dtype=bool)
         caught = np.zeros(len(s), dtype=bool)
-        pt = line_ld(s)
+        pt = r.fix_line(np.asarray(s, dtype=ld))
         # Finished orbits leave the arrays in blocks of _ROW_BLOCK rows; until
         # then they are masked.  Dropping them one by one would make arrays of
         # every length, and numpy keeps freed buffers under 1 KiB for each
@@ -832,28 +826,26 @@ def heteroclinic_from_symmetry(
             for _ in range(budget):
                 if not len(rows):
                     break
-                pt = step_ld(*pt)
+                pt = p_ld.step(pt)
                 d = distance(pt, x_t)
                 near = d < capture_radius
                 gone = running & ~caught & ~near & escaped(pt)
                 out = running & caught & (d > exit_radius)
                 if out.any():
-                    dx, dy, dz = offsets([c[out] for c in pt], x_t)
-                    proj = (dx * w_u_ld[0] + dy * w_u_ld[1] + dz * w_u_ld[2]).astype(float)
+                    proj = ((pt[out] - x_t) @ w_u_ld).astype(float)
                     sides[rows[out]] = np.where(proj != 0, np.copysign(1.0, proj), np.nan)
                 caught |= near
                 done = gone | out
                 if done.any():
                     running &= ~done
-                    for c, t in zip(pt, x_t):
-                        c[done] = t
+                    pt[done] = x_t
                     n = np.count_nonzero(running)
                     size = -(-n // _ROW_BLOCK) * _ROW_BLOCK
                     if size < len(rows):
                         # the running rows, padded with finished ones
                         keep = np.argsort(~running, kind="stable")[:size]
                         rows, running, caught = rows[keep], running[keep], caught[keep]
-                        pt = tuple(c[keep] for c in pt)
+                        pt = pt[keep]
         return sides
 
     def bisect(lo, hi, flo):
@@ -897,19 +889,19 @@ def heteroclinic_from_symmetry(
     def closest_approach(pt, step, c):
         """Least distance to c over each orbit's first budget steps, stopping
         after the step that leaves the escape box."""
-        best = np.full(len(pt[0]), np.inf)
+        best = np.full(len(pt), np.inf)
         live = np.arange(len(best))
         for _ in range(budget):
             if not len(live):
                 break
-            pt = step(*pt)
+            pt = step(pt)
             d = distance(pt, c)
             best[live] = np.where(d < best[live], d, best[live])
             gone = escaped(pt)
             if gone.any():
                 keep = ~gone
                 live = live[keep]
-                pt = tuple(a[keep] for a in pt)
+                pt = pt[keep]
         return best
 
     grid = np.linspace(bracket[0], bracket[1], int(samples))
@@ -917,12 +909,12 @@ def heteroclinic_from_symmetry(
     lower, upper = sides[:-1], sides[1:]
     flips = np.flatnonzero(np.isfinite(lower) & np.isfinite(upper) & (lower != upper))
     roots = bisect(grid[flips], grid[flips + 1], lower[flips])
-    fwd = closest_approach(line_ld(roots), step_ld, x_t)
-    bwd = closest_approach(line_ld(roots), step_back_ld, x_o)
+    fwd = closest_approach(r.fix_line(roots), p_ld.step, x_t)
+    bwd = closest_approach(r.fix_line(roots), p_ld.step_back, x_o)
     hits = []
     for s_root, f, b in zip(roots, fwd, bwd):
         if f < conv_tol and b < conv_tol:
-            pt = np.array(line_ld(s_root), dtype=float)
+            pt = r.fix_line(s_root).astype(float)
             if not any(np.linalg.norm(pt - h.point) < 1e-7 for h in hits):
                 hits.append(
                     HeteroclinicPoint(

@@ -397,10 +397,6 @@ def _reduce_case3(m, L, v, diagnostics):
     return NormalForm("III", params, conj, template, None, None, diagnostics)
 
 
-class NonGenericError(NormalFormError):
-    pass
-
-
 def reduce_generic(nf, tol=1e-12, oracle_tol=ORACLE_TOL):
     """Normalize a case-I form to a + b + c = 1 and sigma = 0.
 

@@ -28,6 +28,7 @@ from qvpmaps.dynamics import (
     DynamicsError,
     NonGenericError,
     NotPositiveDefiniteError,
+    Reversor,
     _second_fix_defects,
 )
 
@@ -355,11 +356,20 @@ class TestBatchedStep:
         rng = np.random.default_rng(3)
         # a (3, 3) batch is where unpacking the rows would go unnoticed
         for shape in ((3, 3), (7, 3), (2, 5, 3)):
-            pts = rng.standard_normal(shape)
-            flat = pts.reshape(-1, 3)
-            for f in (p.step, p.step_back):
-                want = np.array([f(q) for q in flat]).reshape(shape)
-                assert np.array_equal(f(pts), want)
+            double = rng.standard_normal(shape)
+            for pts in (double, double.astype(np.longdouble)):
+                flat = pts.reshape(-1, 3)
+                for f in (p.step, p.step_back, Reversor(eta=0.35)):
+                    want = np.array([f(q) for q in flat]).reshape(shape)
+                    assert np.array_equal(f(pts), want)
+
+    def test_longdouble_round_trip(self):
+        p = params(0.3, -0.7, 0.2, 0.4, 0.3, 0.3)
+        pts = np.random.default_rng(5).standard_normal((7, 3)).astype(np.longdouble)
+        img = p.step(pts)
+        back = p.step_back(img)
+        assert img.dtype == back.dtype == np.longdouble
+        assert np.max(np.abs(back - pts)) <= 64 * np.finfo(np.longdouble).eps
 
     def test_defects_match_points(self):
         p = params(0.1, 0.4, 0.2)

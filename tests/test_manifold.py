@@ -219,26 +219,10 @@ def scalar_heteroclinic_search(p, r, bracket, samples, capture_radius=0.15,
         escape_lim = 1.000001 * escape_bound(p.quad, p.alpha, p.tau, p.sigma)
 
     ld = np.longdouble
-    alpha, tau, sigma = ld(p.alpha), ld(p.tau), ld(p.sigma)
-    qa, qb, qc = ld(p.quad.a), ld(p.quad.b), ld(p.quad.c)
     eta = ld(r.eta)
     x_t = target.location.astype(ld)
     x_o = other.location.astype(ld)
     w_u_ld = w_u.astype(ld)
-
-    def step_ld(pt):
-        x, y, z = pt
-        return np.array(
-            [alpha + tau * x - sigma * y + z + qa * x * x + qb * x * y + qc * y * y, x, y],
-            dtype=ld,
-        )
-
-    def step_back_ld(pt):
-        x, y, z = pt
-        return np.array(
-            [y, z, x - alpha - tau * y + sigma * z - (qa * y * y + qb * y * z + qc * z * z)],
-            dtype=ld,
-        )
 
     def line_ld(s):
         s = ld(s)
@@ -248,7 +232,7 @@ def scalar_heteroclinic_search(p, r, bracket, samples, capture_radius=0.15,
         pt = line_ld(s)
         in_episode = False
         for _ in range(budget):
-            pt = step_ld(pt)
+            pt = p.step(pt)
             d = float(np.sqrt(np.sum((pt - x_t) ** 2)))
             if not in_episode:
                 if d < capture_radius:
@@ -262,7 +246,7 @@ def scalar_heteroclinic_search(p, r, bracket, samples, capture_radius=0.15,
 
     def certified_dists(s):
         dists = []
-        for step, centre in ((step_ld, x_t), (step_back_ld, x_o)):
+        for step, centre in ((p.step, x_t), (p.step_back, x_o)):
             best = np.inf
             pt = line_ld(s)
             for _ in range(budget):
@@ -327,6 +311,18 @@ class TestHeteroclinicLockstep:
             assert g.forward_distance == fwd
             assert g.backward_distance == bwd
             assert np.array_equal(g.point, pt)
+
+    def test_fig2_hits_pinned(self, fig2):
+        # recorded values, so that a change in the kernel itself shows, which
+        # the reference search above shares
+        p, _ = fig2
+        hits = heteroclinic_from_symmetry(p, reversor_for(p), (-0.2, -0.05), samples=60)
+        want = [-0.12360158135871481, -0.11422641272798166, -0.1121510631549391]
+        assert len(hits) == len(want)
+        for h, s in zip(hits, want):
+            assert abs(h.s - s) <= 1e-12
+            assert h.forward_distance < 1e-6
+            assert h.backward_distance < 1e-6
 
     def test_empty_grid(self, fig2):
         p, _ = fig2
