@@ -34,7 +34,6 @@ from .dynamics import (
 )
 from .manifold import grow_2d, heteroclinic_from_symmetry, intersect_meshes
 from .normalform import (
-    NormalFormError,
     NotAShearError,
     QuadraticForm2,
     reduce_generic,
@@ -44,7 +43,6 @@ from .normalform import (
 from .polymap import MapError, QuadMap, has_quadratic_inverse, is_volume_preserving
 from .shear import AFFINE, NOT_A_SHEAR, extract_shear
 from .symplectic import (
-    SymplecticError,
     is_symplectic,
     shear_to_gradient_form,
     symplectic_decompose,
@@ -625,7 +623,7 @@ def main(argv=None):
     except PredicateFailure as exc:
         print(f"predicate failure: {exc}", file=sys.stderr)
         return EXIT_PREDICATE
-    except (MapError, NormalFormError, SymplecticError, DynamicsError) as exc:
+    except (MapError, DynamicsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -421,22 +421,90 @@ def _second_fix_defects(p, r, pt):
     return g1, g2
 
 
-def symmetric_orbit_search(
-    p,
-    r,
-    period,
-    bracket,
-    samples=10_000,
-    bisect_tol=1e-12,
-    certify_tol=1e-9,
-):
+#: Bisection levels that bisect_sign_changes evaluates per lockstep round:
+#: every dyadic midpoint this many levels below each live bracket.
+_SPECULATION_DEPTH = 6
+#: Halvings after which a bracket stops, converged or not.
+_BISECTION_CAP = 160
+#: Relative bracket width at which symmetric_orbit_search stops bisecting.
+SYMMETRIC_BISECT_RTOL = 1e-12
+#: symmetric_orbit_search keeps a root whose half-orbit defects are within
+#: 10 times this and whose orbit closes up to |f^period(x) - x| <= this.
+SYMMETRIC_CERTIFY_TOL = 1e-9
+
+
+def bisect_sign_changes(side, grid, values, rtol=0.0):
+    """Roots of the sign changes of values, sampled on grid, bisected in lockstep.
+
+    side(s) gives the values at an array of parameters s, nan where there is
+    none.  Adjacent grid points whose values are finite and have
+    lower * upper <= 0 bracket a root; all brackets are bisected together in
+    grid's dtype.  The lower end lo moves to a midpoint whose value has the
+    sign of lo's; otherwise the upper end hi moves, on a nan value too (the
+    flank re-resolves later).  A bracket stops after _BISECTION_CAP halvings,
+    when the midpoint equals an end, or when |hi - lo| <= rtol * max(1, |lo|,
+    |hi|), which rtol = 0 never meets.  Returns (lo + hi) / 2 per bracket, in
+    grid order.
+
+    A round evaluates, in one call of side, every dyadic midpoint down to
+    _SPECULATION_DEPTH levels below each live bracket, then walks each
+    bracket's tree of midpoints with the one-at-a-time rule.  The roots are
+    bitwise those of bisecting one midpoint at a time, with one round per
+    _SPECULATION_DEPTH halvings; a side that runs orbits in lockstep costs
+    about as much for many parameters as for one.
+    """
+    lower, upper = values[:-1], values[1:]
+    flips = np.flatnonzero(np.isfinite(lower) & np.isfinite(upper) & (lower * upper <= 0))
+    lo, hi, flo = grid[flips], grid[flips + 1], lower[flips]
+    halvings = np.zeros(len(lo), dtype=int)
+    live = np.arange(len(lo))
+    while len(live):
+        # levels[k][i, j]: midpoint of node j at depth k below bracket live[i];
+        # the children of node j are nodes 2j (lower half) and 2j + 1.
+        ends_lo, ends_hi = lo[live, None], hi[live, None]
+        levels = []
+        for _ in range(_SPECULATION_DEPTH):
+            mid = (ends_lo + ends_hi) / 2
+            levels.append(mid)
+            ends_lo = np.stack([ends_lo, mid], axis=-1).reshape(len(live), -1)
+            ends_hi = np.stack([mid, ends_hi], axis=-1).reshape(len(live), -1)
+        mids = np.concatenate(levels, axis=1)
+        fmids = side(mids.ravel()).reshape(mids.shape)
+        still = []
+        for i, b in enumerate(live):
+            node = 0
+            for k in range(_SPECULATION_DEPTH):
+                if halvings[b] == _BISECTION_CAP:
+                    break
+                if abs(hi[b] - lo[b]) <= rtol * max(1.0, abs(lo[b]), abs(hi[b])):
+                    break
+                halvings[b] += 1
+                mid = levels[k][i, node]
+                if mid == lo[b] or mid == hi[b]:
+                    break
+                fmid = fmids[i, 2**k - 1 + node]
+                if fmid * flo[b] > 0:
+                    lo[b], flo[b] = mid, fmid
+                    node = 2 * node + 1
+                else:
+                    hi[b] = mid
+                    node = 2 * node
+            else:
+                still.append(b)
+        live = np.array(still, dtype=int)
+    return (lo + hi) / 2
+
+
+def symmetric_orbit_search(p, r, period, bracket, samples=10_000):
     """Symmetric periodic points found by a 1D search along Fix(h).
 
     For even period 2m a point x in Fix(h) with f^m(x) in Fix(h) closes up;
     for odd period 2m-1 the half-orbit condition is f^m(x) in Fix(f o h).
-    Sign changes of either defining function over a uniform sample of the
-    bracket are bisected, the companion function is checked at the root, and
-    every hit is certified by |f^period(x) - x| <= certify_tol.
+    The half orbits of a uniform sample of the bracket are computed in
+    lockstep, the sign changes of each defining function are bisected by
+    bisect_sign_changes, and all roots are certified in one batch (see
+    SYMMETRIC_CERTIFY_TOL).  Hits come in root order; one within 1e-8 of an
+    earlier hit is dropped.
     """
     period = int(period)
     if period < 1:
@@ -461,46 +529,27 @@ def symmetric_orbit_search(
             live = live[ok]
         return pt
 
-    def gfun(s, idx):
-        return defects(half_orbit(s)[0])[idx]
-
-    s_lo, s_hi = bracket
-    grid = np.linspace(s_lo, s_hi, int(samples))
-    half = half_orbit(grid)
+    grid = np.linspace(bracket[0], bracket[1], int(samples))
+    scan = defects(half_orbit(grid))
+    roots = np.concatenate([
+        bisect_sign_changes(
+            lambda s, idx=idx: defects(half_orbit(s))[idx],
+            grid, scan[idx], rtol=SYMMETRIC_BISECT_RTOL,
+        )
+        for idx in range(2)
+    ])
+    start = r.fix_line(roots)
+    with np.errstate(over="ignore", invalid="ignore"):
+        on_line = np.max(np.abs(defects(half_orbit(roots))), axis=0)
+        pt = start
+        for _ in range(period):
+            pt = p.step(pt)
+        closed = np.max(np.abs(pt - start), axis=-1)
+    certified = (on_line <= 10 * SYMMETRIC_CERTIFY_TOL) & (closed <= SYMMETRIC_CERTIFY_TOL)
     hits = []
-    for idx in range(2):
-        vals = defects(half)[idx]
-        for i in range(len(grid) - 1):
-            a, b = vals[i], vals[i + 1]
-            if not (np.isfinite(a) and np.isfinite(b)) or a * b > 0:
-                continue
-            lo, hi = grid[i], grid[i + 1]
-            flo = a
-            while hi - lo > bisect_tol * max(1.0, abs(lo), abs(hi)):
-                mid = 0.5 * (lo + hi)
-                fmid = gfun(mid, idx)
-                if not np.isfinite(fmid):
-                    break
-                if flo * fmid <= 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fmid
-            s_root = 0.5 * (lo + hi)
-            pt_half = half_orbit(s_root)[0]
-            if np.isnan(pt_half).any():
-                continue
-            d1, d2 = defects(pt_half)
-            if max(abs(d1), abs(d2)) > certify_tol * 10:
-                continue
-            start = r.fix_line(s_root)
-            pt = start.copy()
-            for _ in range(period):
-                pt = p.step(pt)
-            if np.max(np.abs(pt - start)) <= certify_tol:
-                if not any(
-                    np.max(np.abs(start - np.asarray(h))) < 1e-8 for h in hits
-                ):
-                    hits.append(start)
+    for x in start[certified]:
+        if not any(np.max(np.abs(x - h)) < 1e-8 for h in hits):
+            hits.append(x)
     return hits
 
 

@@ -20,6 +20,7 @@ from .dynamics import (
     DynamicsError,
     FixedPointReport,
     GenericMapParams,
+    bisect_sign_changes,
     escape_bound,
     fixed_points,
 )
@@ -625,8 +626,7 @@ def intersect_meshes(mesh_a, mesh_b, reversor=None, stitch_tol=STITCH_TOL):
 
 def _flag_fix_crossing(curve, reversor, mesh_a, mesh_b, edge_bound):
     pts = curve.points
-    c1 = pts[:, 0] + pts[:, 2] + reversor.eta
-    c2 = pts[:, 1] + reversor.eta / 2.0
+    c1, c2 = reversor.fix_defects(pts)
     score = np.hypot(c1, c2)
     i = int(np.argmin(score))
     best = pts[i]
@@ -638,10 +638,7 @@ def _flag_fix_crossing(curve, reversor, mesh_a, mesh_b, edge_bound):
             if a != b and a * b <= 0:
                 t = a / (a - b)
                 cand = pts[j] + t * (pts[j + 1] - pts[j])
-                s = math.hypot(
-                    cand[0] + cand[2] + reversor.eta,
-                    cand[1] + reversor.eta / 2.0,
-                )
+                s = math.hypot(*reversor.fix_defects(cand))
                 if s < best_score:
                     best, best_score = cand, s
     if best_score <= 2.0 * edge_bound:
@@ -713,11 +710,15 @@ def hausdorff_distance(pts_a, pts_b):
     return max(directed(pts_a, pts_b), directed(pts_b, pts_a))
 
 
-#: Bisection levels that heteroclinic_from_symmetry evaluates per lockstep
-#: round: every dyadic midpoint this many levels below each live bracket.
-_SPECULATION_DEPTH = 6
-#: Halvings after which a heteroclinic bracket stops, converged or not.
-_BISECTION_CAP = 160
+#: heteroclinic_from_symmetry: an orbit is caught by the target fixed point
+#: within CAPTURE_RADIUS and has left it beyond EXIT_RADIUS.
+CAPTURE_RADIUS = 0.15
+EXIT_RADIUS = 0.3
+#: A heteroclinic root is certified by closest approaches to the target
+#: (forward) and the other fixed point (backward) both below this.
+HETEROCLINIC_TOL = 1e-6
+#: Steps after which a heteroclinic orbit stops, caught or not.
+ORBIT_BUDGET = 2500
 #: heteroclinic_from_symmetry drops finished orbits from its lockstep arrays
 #: in blocks of this many rows.
 _ROW_BLOCK = 32
@@ -733,39 +734,27 @@ class HeteroclinicPoint:
     backward_distance: float
 
 
-def heteroclinic_from_symmetry(
-    p,
-    r,
-    bracket,
-    samples=600,
-    capture_radius=0.15,
-    exit_radius=0.3,
-    conv_tol=1e-6,
-    budget=2500,
-):
+def heteroclinic_from_symmetry(p, r, bracket, samples=600):
     """Heteroclinic points on Fix(h), found by a one-dimensional search.
 
     Forward orbits from the fixed line that shadow the stable manifold of
     the type-A fixed point approach it and then depart along its 1D unstable
     eigenvector; the departure side flips across each intersection of Fix(h)
-    with the stable manifold.  The side is taken on a uniform sample of the
-    bracket, and each sign change is bisected in np.longdouble until the
-    midpoint equals an end or after _BISECTION_CAP halvings.  Each root is
-    certified by forward convergence to one fixed point and backward
-    convergence to the other, both below conv_tol.
+    with the stable manifold.  The side (nan unless the orbit comes within
+    CAPTURE_RADIUS of the target and then leaves beyond EXIT_RADIUS, within
+    ORBIT_BUDGET steps) is taken on a uniform sample of the bracket, and
+    each sign change is bisected in np.longdouble by bisect_sign_changes,
+    with no width tolerance.  Each root is certified by forward convergence
+    to one fixed point and backward convergence to the other, both below
+    HETEROCLINIC_TOL.
 
     Each stage runs all its orbits in lockstep and drops them as they
-    finish: the sample scan, the bisection and the certification.  Its
-    orbits are the rows of one (N, 3) np.longdouble array that starts on
+    finish: the sample scan, every bisection round and the certification.
+    Its orbits are the rows of one (N, 3) np.longdouble array that starts on
     r.fix_line and is moved by GenericMapParams.step (step_back for the
-    backward certification) with p's coefficients in long double.  A
-    bisection round evaluates, in one lockstep call, every dyadic midpoint
-    down to _SPECULATION_DEPTH levels below each live bracket, then walks
-    each bracket's tree of midpoints with the one-at-a-time rule.  The roots
-    are bitwise those of bisecting one midpoint at a time, with one round
-    per _SPECULATION_DEPTH halvings: each round lasts as long as its slowest
-    orbit, and near a root that orbit shadows the stable manifold for
-    thousands of steps.
+    backward certification) with p's coefficients in long double.  A round
+    lasts as long as its slowest orbit, and near a root that orbit shadows
+    the stable manifold for thousands of steps.
 
     The cube-root conditioning of the closest approach puts the
     double-precision floor near 1e-6 for contraction rates of a few percent,
@@ -823,14 +812,14 @@ def heteroclinic_from_symmetry(
         # target, as special values are slow in x87 arithmetic; nothing reads
         # it, so if it drifts off and overflows, that is not reported.
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(budget):
+            for _ in range(ORBIT_BUDGET):
                 if not len(rows):
                     break
                 pt = p_ld.step(pt)
                 d = distance(pt, x_t)
-                near = d < capture_radius
+                near = d < CAPTURE_RADIUS
                 gone = running & ~caught & ~near & escaped(pt)
-                out = running & caught & (d > exit_radius)
+                out = running & caught & (d > EXIT_RADIUS)
                 if out.any():
                     proj = ((pt[out] - x_t) @ w_u_ld).astype(float)
                     sides[rows[out]] = np.where(proj != 0, np.copysign(1.0, proj), np.nan)
@@ -848,50 +837,12 @@ def heteroclinic_from_symmetry(
                         pt = pt[keep]
         return sides
 
-    def bisect(lo, hi, flo):
-        """Root of each bracket [lo, hi] whose lower end has side flo."""
-        lo, hi = lo.astype(ld), hi.astype(ld)
-        halvings = np.zeros(len(lo), dtype=int)
-        live = np.arange(len(lo))
-        while len(live):
-            # levels[k][i, j]: midpoint of node j at depth k below bracket live[i];
-            # the children of node j are nodes 2j (lower half) and 2j + 1.
-            ends_lo, ends_hi = lo[live, None], hi[live, None]
-            levels = []
-            for _ in range(_SPECULATION_DEPTH):
-                mid = (ends_lo + ends_hi) / 2
-                levels.append(mid)
-                ends_lo = np.stack([ends_lo, mid], axis=-1).reshape(len(live), -1)
-                ends_hi = np.stack([mid, ends_hi], axis=-1).reshape(len(live), -1)
-            mids = np.concatenate(levels, axis=1)
-            sides = episode_sides(mids.ravel()).reshape(mids.shape)
-            still = []
-            for i, b in enumerate(live):
-                node = 0
-                for k in range(_SPECULATION_DEPTH):
-                    if halvings[b] == _BISECTION_CAP:
-                        break
-                    halvings[b] += 1
-                    mid = levels[k][i, node]
-                    if mid == lo[b] or mid == hi[b]:
-                        break
-                    if sides[i, 2**k - 1 + node] == flo[b]:
-                        lo[b] = mid
-                        node = 2 * node + 1
-                    else:  # a nan side shrinks too; the flank re-resolves later
-                        hi[b] = mid
-                        node = 2 * node
-                else:
-                    still.append(b)
-            live = np.array(still, dtype=int)
-        return (lo + hi) / 2
-
     def closest_approach(pt, step, c):
-        """Least distance to c over each orbit's first budget steps, stopping
-        after the step that leaves the escape box."""
+        """Least distance to c over each orbit's first ORBIT_BUDGET steps,
+        stopping after the step that leaves the escape box."""
         best = np.full(len(pt), np.inf)
         live = np.arange(len(best))
-        for _ in range(budget):
+        for _ in range(ORBIT_BUDGET):
             if not len(live):
                 break
             pt = step(pt)
@@ -904,16 +855,13 @@ def heteroclinic_from_symmetry(
                 pt = pt[keep]
         return best
 
-    grid = np.linspace(bracket[0], bracket[1], int(samples))
-    sides = episode_sides(grid)
-    lower, upper = sides[:-1], sides[1:]
-    flips = np.flatnonzero(np.isfinite(lower) & np.isfinite(upper) & (lower != upper))
-    roots = bisect(grid[flips], grid[flips + 1], lower[flips])
+    grid = np.linspace(bracket[0], bracket[1], int(samples)).astype(ld)
+    roots = bisect_sign_changes(episode_sides, grid, episode_sides(grid))
     fwd = closest_approach(r.fix_line(roots), p_ld.step, x_t)
     bwd = closest_approach(r.fix_line(roots), p_ld.step_back, x_o)
     hits = []
     for s_root, f, b in zip(roots, fwd, bwd):
-        if f < conv_tol and b < conv_tol:
+        if f < HETEROCLINIC_TOL and b < HETEROCLINIC_TOL:
             pt = r.fix_line(s_root).astype(float)
             if not any(np.linalg.norm(pt - h.point) < 1e-7 for h in hits):
                 hits.append(

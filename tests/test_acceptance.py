@@ -492,7 +492,7 @@ def test_criterion_12_manifold_cross_validation():
         agree = min(
             min(c.min_distance_to(q.point) for c in curves) for q in pts
         )
-    hu = np.array([h(v) for v in wu.vertices])
+    hu = h(wu.vertices)
     haus = hausdorff_distance(hu, ws.vertices)
     elapsed = time.monotonic() - t0
     ok = (

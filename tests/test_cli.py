@@ -1,20 +1,28 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qvpmaps
 from qvpmaps import build_shear
 from qvpmaps.cli import main
 from util import random_case_map, random_shear_data
 
+# the directory this qvpmaps is imported from, first on the child's path
+SRC_DIR = str(Path(qvpmaps.__file__).resolve().parent.parent)
+
 
 def run_cli(*args):
+    path = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "qvpmaps", *map(str, args)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 

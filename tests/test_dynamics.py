@@ -383,19 +383,48 @@ class TestBatchedStep:
 
 class TestSymmetricOrbitSearch:
     @pytest.mark.parametrize(
-        "alpha, want",
+        "period, alpha, tau, bracket, samples, want",
         [
-            (0.0, [[-2.414213562372976, -1.0, 0.4142135623729759],
-                   [0.4142135623730727, -1.0, -2.4142135623730727]]),
-            (-1.0, [[-2.999999999998834, -1.0, 0.9999999999988338],
-                    [1.0000000000000975, -1.0, -3.0000000000000977]]),
+            pytest.param(
+                4, 0.0, 2.0, (-3.0, 3.0), 600,
+                [[-2.414213562372976, -1.0, 0.4142135623729759],
+                 [0.4142135623730727, -1.0, -2.4142135623730727]],
+                id="0.0-want0",
+            ),
+            pytest.param(
+                4, -1.0, 2.0, (-3.0, 3.0), 600,
+                [[-2.999999999998834, -1.0, 0.9999999999988338],
+                 [1.0000000000000975, -1.0, -3.0000000000000977]],
+                id="-1.0-want1",
+            ),
+            # odd period: the half orbit ends on Fix(f o h); at the saddle-node
+            # boundary alpha = tau^2/4 the fixed point is the one hit
+            pytest.param(
+                1, 0.8 * 0.8 / 4.0, 0.8, (-2.0, 2.0), 2000,
+                [[-0.40000000000027963, -0.4, -0.3999999999997204]],
+                id="period1-tau0.8",
+            ),
+            pytest.param(
+                1, -1.2 * -1.2 / 4.0, -1.2, (-2.0, 2.0), 2000,
+                [[0.5999999999997203, 0.6, 0.6000000000002796]],
+                id="period1-tau-1.2",
+            ),
         ],
     )
-    def test_period4_hits_exact(self, alpha, want):
-        p = params(alpha, 2.0)
+    def test_period4_hits_exact(self, period, alpha, tau, bracket, samples, want):
+        p = params(alpha, tau)
         h = reversor_for(p)
-        hits = symmetric_orbit_search(p, h, 4, (-3.0, 3.0), samples=600)
+        hits = symmetric_orbit_search(p, h, period, bracket, samples=samples)
         assert [hit.tolist() for hit in hits] == want
+
+    def test_reversed_bracket(self):
+        p = params(0.0, 2.0)
+        h = reversor_for(p)
+        fwd = symmetric_orbit_search(p, h, 4, (-3.0, 3.0), samples=600)
+        back = symmetric_orbit_search(p, h, 4, (3.0, -3.0), samples=600)
+        assert len(back) == len(fwd) == 2
+        for pt in back:
+            assert min(np.max(np.abs(pt - f)) for f in fwd) < 1e-9
 
     def test_saddle_node_fixed_point_found(self):
         # at the saddle-node boundary the degenerate fixed point sits on Fix(h)

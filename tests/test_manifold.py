@@ -136,7 +136,7 @@ class TestGrow1D:
                              seed_points=10)
         bs_p, bs_m = grow_1d(p, fps["minus"], "stable", eps=1e-3, depth=6,
                              seed_points=10)
-        hu = np.array([h(v) for v in np.vstack([bu_p.points, bu_m.points])])
+        hu = h(np.vstack([bu_p.points, bu_m.points]))
         sv = np.vstack([bs_p.points, bs_m.points])
         # every h-image lies near the computed stable branch pair
         worst = max(np.min(np.linalg.norm(sv - q, axis=1)) for q in hu)
@@ -166,7 +166,7 @@ class TestIntersectAndSymmetry:
         )
         assert best < edge
         # reversor symmetry of the meshes
-        hu = np.array([h(v) for v in wu.vertices])
+        hu = h(wu.vertices)
         assert hausdorff_distance(hu, ws.vertices) < 2 * edge
 
     def test_symmetry_points_certified(self, fig2):
