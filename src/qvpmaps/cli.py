@@ -438,7 +438,7 @@ def cmd_iterate(args):
         try:
             rep = asymptotic_direction(orbit)
             meta["asymptotic-axis"] = rep.axis
-        except Exception:
+        except DynamicsError:
             pass
     rows = [
         [k, pt[0], pt[1], pt[2]] for k, pt in enumerate(orbit.points)

@@ -27,6 +27,9 @@ PERIOD_DOUBLING_BOUNDARY = "period_doubling_boundary"
 ELLIPTIC_PAIR = "elliptic_pair"
 
 BOUNDARY_TOL = 1e-9
+#: Tolerance of fixed_points: on a + b + c = 1, and relative to max(1,
+#: tau^2, sigma^2, |alpha|) on D = 0, where the two fixed points merge.
+FIXED_POINT_TOL = 1e-9
 
 #: |x| beyond this is reported as floating-point overflow escape
 OVERFLOW_LIMIT = 1e150
@@ -60,8 +63,8 @@ class GenericMapParams:
     def coeff_sum(self):
         return self.quad.coeff_sum()
 
-    def is_normalized(self, tol=1e-9):
-        return abs(self.coeff_sum() - 1.0) <= tol
+    def is_normalized(self):
+        return abs(self.coeff_sum() - 1.0) <= FIXED_POINT_TOL
 
     def as_quadmap(self):
         q = self.quad
@@ -99,47 +102,79 @@ class GenericMapParams:
         )
 
 
+#: x ** n by the C library's pow, as Python floats compute it; numpy's own
+#: x ** 2 and x ** 3 differ from it in the last bit on some inputs.
+_pow = np.frompyfunc(pow, 2, 1)
+
+
+def _libm_pow(x, n):
+    return np.asarray(_pow(x, n), dtype=float)
+
+
 def _cubic(t, s, lam):
-    return lam**3 - t * lam**2 + s * lam - 1.0
+    return _libm_pow(lam, 3) - t * _libm_pow(lam, 2) + s * lam - 1.0
 
 
 def _cubic_roots(t, s):
-    """Roots of lambda^3 - t lambda^2 + s lambda - 1, exact on multiple roots.
+    """Roots of lambda^3 - t lambda^2 + s lambda - 1 over (N,) arrays t, s as
+    an (N, 3) complex array, exact on multiple roots.
 
-    Companion-matrix eigenvalues are Newton-polished; when the residual at a
-    root of the derivative certifies a double (or triple) root, the exact
-    structure (r, r, 1/r^2) is returned instead, which keeps the double-root
-    curves and the cusp at t = s = 3 well conditioned.
+    Rows where the residual at a root r of the derivative certifies a triple
+    or double root get the exact structure (r, r, r) or (r, r, 1/r^2), which
+    keeps the double-root curves and the cusp at t = s = 3 well conditioned.
+    The others take their companion-matrix eigenvalues (one eigvals call on
+    the stack) and two Newton steps, in float64 on the rows whose eigenvalues
+    are all real and in complex arithmetic on the others, as eigvals returns
+    them for one matrix.  A complex polish moves the last bits of some real
+    roots; this rule keeps every row bitwise what a call on it alone gives.
     """
-    accept = 1e-9 * (1.0 + abs(t) + abs(s))
+    t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
+    lam = np.empty((len(t), 3), dtype=complex)
+    accept = 1e-9 * (1.0 + np.abs(t) + np.abs(s))
     # triple root: common zero of p'' and p'
     r = t / 3.0
-    if abs(_cubic(t, s, r)) <= accept and abs(3 * r * r - 2 * t * r + s) <= accept:
-        return np.array([r, r, r], dtype=complex)
+    done = np.abs(_cubic(t, s, r)) <= accept
+    done &= np.abs(3 * r * r - 2 * t * r + s) <= accept
+    lam[done] = r[done, None]
     # double root: a real zero of p' with p ~ 0 there
     disc = t * t - 3.0 * s
-    if disc >= 0.0:
-        sq = math.sqrt(disc)
-        for r in ((t + sq) / 3.0, (t - sq) / 3.0):
-            if abs(r) > 1e-12 and abs(_cubic(t, s, r)) <= accept:
-                q = 1.0 / (r * r)
-                if abs(2 * r + q - t) <= 1e-6 * (1 + abs(t)) and abs(
-                    r * r + 2.0 / r - s
-                ) <= 1e-6 * (1 + abs(s)):
-                    return np.array([r, r, q], dtype=complex)
-    comp = np.array([[t, -s, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    lam = np.linalg.eigvals(comp)
-    for _ in range(2):
-        p = lam**3 - t * lam**2 + s * lam - 1.0
-        dp = 3 * lam**2 - 2 * t * lam + s
-        safe = np.abs(dp) > 1e-8
-        lam = np.where(safe, lam - p / np.where(safe, dp, 1.0), lam)
+    crit = ~done & (disc >= 0.0)
+    sq = np.sqrt(np.where(crit, disc, 0.0))
+    for r in ((t + sq) / 3.0, (t - sq) / 3.0):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            q = 1.0 / (r * r)
+            ok = crit & ~done & (np.abs(r) > 1e-12) & (np.abs(_cubic(t, s, r)) <= accept)
+            ok &= np.abs(2 * r + q - t) <= 1e-6 * (1 + np.abs(t))
+            ok &= np.abs(r * r + 2.0 / r - s) <= 1e-6 * (1 + np.abs(s))
+        lam[ok] = np.column_stack([r, r, q])[ok]
+        done |= ok
+    comp = np.zeros((np.count_nonzero(~done), 3, 3))
+    comp[:, 0, 0], comp[:, 0, 1], comp[:, 0, 2] = t[~done], -s[~done], 1.0
+    comp[:, 1, 0] = comp[:, 2, 1] = 1.0
+    t, s = t[~done, None], s[~done, None]
+    eig = np.linalg.eigvals(comp).astype(complex)
+    real = ~np.any(eig.imag, axis=1)
+    for rows, z in ((real, eig.real), (~real, eig)):
+        z, tr, sr = z[rows], t[rows], s[rows]
+        for _ in range(2):
+            p = z**3 - tr * z**2 + sr * z - 1.0
+            dp = 3 * z**2 - 2 * tr * z + sr
+            safe = np.abs(dp) > 1e-8
+            z = np.where(safe, z - p / np.where(safe, dp, 1.0), z)
+        eig[rows] = z
+    lam[~done] = eig
     return lam
 
 
-def classify_stability(t, s, tol=BOUNDARY_TOL):
-    """Classification label and eigenvalues for the linearization cubic.
+_LABELS = np.array([TYPE_A, TYPE_B, SADDLE_NODE_BOUNDARY, PERIOD_DOUBLING_BOUNDARY,
+                    ELLIPTIC_PAIR], dtype=object)
 
+
+def classify_stability(t, s):
+    """Classification labels and eigenvalues for the linearization cubic.
+
+    t and s are scalars or arrays that broadcast together; the labels come in
+    their shape (a str for scalars), the eigenvalues with one more axis of 3.
     type_A has exactly one eigenvalue outside the unit circle (one-dimensional
     unstable manifold), type_B exactly one inside; a root at +1 marks the
     saddle-node line t = s (reported as elliptic_pair when the remaining pair
@@ -147,23 +182,18 @@ def classify_stability(t, s, tol=BOUNDARY_TOL):
     t + s = -2.  At the codimension-two crossing t = s = -1 the saddle-node
     label wins.
     """
-    lam = _cubic_roots(float(t), float(s))
+    t, s = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+    lam = _cubic_roots(t.ravel(), s.ravel())
+    tol = BOUNDARY_TOL
     near_one = np.abs(lam - 1.0) <= tol
-    near_minus = np.abs(lam + 1.0) <= tol
-    if near_one.any():
-        others = lam[~near_one] if near_one.sum() == 1 else lam
-        if others.size == 2 and abs(others[0].imag) > tol:
-            label = ELLIPTIC_PAIR
-        else:
-            label = SADDLE_NODE_BOUNDARY
-    elif near_minus.any():
-        label = PERIOD_DOUBLING_BOUNDARY
-    elif np.any(np.abs(np.abs(lam) - 1.0) <= tol):
-        label = ELLIPTIC_PAIR
-    else:
-        n_out = int(np.sum(np.abs(lam) > 1.0))
-        label = TYPE_A if n_out == 1 else TYPE_B
-    return label, lam
+    n_one = near_one.sum(axis=1)
+    # with a single root at +1, the first other root decides elliptic_pair
+    other = lam[np.arange(len(lam)), np.argmin(near_one, axis=1)]
+    code = np.where(np.sum(np.abs(lam) > 1.0, axis=1) == 1, 0, 1)
+    code[np.any(np.abs(np.abs(lam) - 1.0) <= tol, axis=1)] = 4
+    code[np.any(np.abs(lam + 1.0) <= tol, axis=1)] = 3
+    code[n_one > 0] = np.where((n_one == 1) & (np.abs(other.imag) > tol), 4, 2)[n_one > 0]
+    return _LABELS[code].reshape(t.shape)[()], lam.reshape(t.shape + (3,))
 
 
 @dataclass(frozen=True)
@@ -178,45 +208,45 @@ class FixedPointReport:
     classification: str
 
 
-def fixed_points(p, tol=1e-9):
+def _fixed_point_xs(alpha, tau, sigma):
+    """D = (tau - sigma)^2 - 4 alpha and x_pm = (-tau + sigma +- sqrt(D))/2
+    (with D clipped at 0) over arrays."""
+    disc = _libm_pow(tau - sigma, 2) - 4.0 * alpha
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    return disc, 0.5 * (-tau + sigma + sq), 0.5 * (-tau + sigma - sq)
+
+
+def _fixed_point_locations(p):
+    """Number of fixed points (0, 1 or 2) and x_plus, x_minus of p, whose alpha
+    and tau may be arrays; where |D| is within FIXED_POINT_TOL of the scale,
+    x_plus is the single degenerate point."""
+    if not p.is_normalized():
+        raise DynamicsError("fixed-point formulas require a + b + c = 1; normalize first")
+    disc, x_plus, x_minus = _fixed_point_xs(p.alpha, p.tau, p.sigma)
+    scale = np.maximum(np.maximum(1.0, _libm_pow(p.tau, 2)), _libm_pow(p.sigma, 2))
+    scale = np.maximum(scale, np.abs(p.alpha))
+    degenerate = np.abs(disc) <= FIXED_POINT_TOL * scale
+    count = np.where(disc < -FIXED_POINT_TOL * scale, 0, np.where(degenerate, 1, 2))
+    return count, np.where(degenerate, 0.5 * (-p.tau + p.sigma), x_plus), x_minus
+
+
+def fixed_points(p):
     """The at-most-two fixed points x_pm = (-tau + sigma +- sqrt(D))/2.
 
     Requires the normalized form a + b + c = 1 (run reduce_generic first);
     D = (tau - sigma)^2 - 4 alpha, with a single degenerate point on D = 0.
     """
-    if not p.is_normalized(tol=1e-9):
-        raise DynamicsError(
-            "fixed-point formulas require a + b + c = 1; normalize first"
-        )
     q = p.quad
-    disc = (p.tau - p.sigma) ** 2 - 4.0 * p.alpha
-    scale = max(1.0, p.tau**2, p.sigma**2, abs(p.alpha))
-    if disc < -tol * scale:
-        return []
-    if abs(disc) <= tol * scale:
-        xs = [(("degenerate"), 0.5 * (-p.tau + p.sigma))]
-    else:
-        sq = math.sqrt(disc)
-        xs = [
-            ("plus", 0.5 * (-p.tau + p.sigma + sq)),
-            ("minus", 0.5 * (-p.tau + p.sigma - sq)),
-        ]
-    out = []
-    for which, x in xs:
-        t = p.tau + (2 * q.a + q.b) * x
-        s = p.sigma - (2 * q.c + q.b) * x
-        label, lam = classify_stability(t, s)
-        out.append(
-            FixedPointReport(
-                which=which,
-                location=np.array([x, x, x]),
-                t=float(t),
-                s=float(s),
-                eigenvalues=lam,
-                classification=label,
-            )
-        )
-    return out
+    count, x_plus, x_minus = _fixed_point_locations(p)
+    which = ([], ["degenerate"], ["plus", "minus"])[count]
+    x = np.array([x_plus, x_minus])[: len(which)]
+    t = p.tau + (2 * q.a + q.b) * x
+    s = p.sigma - (2 * q.c + q.b) * x
+    labels, lam = classify_stability(t, s)
+    return [
+        FixedPointReport(w, np.array([x[k]] * 3), float(t[k]), float(s[k]), lam[k], labels[k])
+        for k, w in enumerate(which)
+    ]
 
 
 def escape_bound(q, alpha, tau, sigma):
@@ -664,13 +694,16 @@ class StabilityDiagram:
 
 
 def _double_root_curves(r_ranges=((-3.0, -0.3), (0.3, 3.0)), n=241):
-    out = []
-    for lo, hi in r_ranges:
-        r = np.linspace(lo, hi, n)
-        t = 2 * r + 1.0 / r**2
-        s = r**2 + 2.0 / r
-        out.append(np.column_stack([t, s]))
-    return out
+    rs = [np.linspace(lo, hi, n) for lo, hi in r_ranges]
+    return [np.column_stack([2 * r + 1.0 / r**2, r**2 + 2.0 / r]) for r in rs]
+
+
+def _branch_points(x, tau, alpha, sigma, which, disc_min):
+    """The (tau, alpha) rows where x is the fixed point x_which and D >= disc_min."""
+    disc, x_plus, x_minus = _fixed_point_xs(alpha, tau, sigma)
+    x_sel = x_plus if which == "plus" else x_minus
+    keep = (disc >= disc_min) & (np.abs(x - x_sel) <= 1e-8 * np.maximum(1.0, np.abs(x)))
+    return np.column_stack([tau, alpha])[keep]
 
 
 def _pullback_ts_curve(ts_points, q, sigma, which):
@@ -678,22 +711,11 @@ def _pullback_ts_curve(ts_points, q, sigma, which):
     denom = 2 * q.c + q.b
     if abs(denom) < 1e-12:
         return np.empty((0, 2))
-    out = []
-    for t, s in ts_points:
-        x = (sigma - s) / denom
-        tau = t - (2 * q.a + q.b) * x
-        alpha = -x * x - (tau - sigma) * x
-        # keep only points where x is the requested root
-        disc = (tau - sigma) ** 2 - 4 * alpha
-        if disc < 0:
-            continue
-        sq = math.sqrt(max(disc, 0.0))
-        x_sel = 0.5 * (-tau + sigma + sq) if which == "plus" else 0.5 * (
-            -tau + sigma - sq
-        )
-        if abs(x - x_sel) <= 1e-8 * max(1.0, abs(x)):
-            out.append((tau, alpha))
-    return np.asarray(out) if out else np.empty((0, 2))
+    t, s = ts_points[:, 0], ts_points[:, 1]
+    x = (sigma - s) / denom
+    tau = t - (2 * q.a + q.b) * x
+    alpha = -x * x - (tau - sigma) * x
+    return _branch_points(x, tau, alpha, sigma, which, 0.0)
 
 
 def stability_diagram(
@@ -712,56 +734,55 @@ def stability_diagram(
     period-doubling loci of each fixed point, and the pullbacks of the
     double-root curves.  plane="t_s": direct classification with the t = s
     and t + s = -2 lines and the parametric double-root curves.
+
+    Each grid row is one classify_stability call (in tau_alpha, on x_plus
+    and x_minus of the row together, from the closed form), so memory grows
+    with nx only.  Its per-row float64/complex polish (see _cubic_roots)
+    makes every cell bitwise what classifying that cell alone gives.
     """
     xs = np.linspace(*x_range, int(nx))
     ys = np.linspace(*y_range, int(ny))
     if plane == "t_s":
         label = np.empty((len(ys), len(xs)), dtype=object)
         for i, s in enumerate(ys):
-            for j, t in enumerate(xs):
-                label[i, j], _ = classify_stability(t, s)
+            label[i], _ = classify_stability(xs, s)
         curves = {
             "saddle_node": [np.column_stack([xs, xs])],
             "period_doubling": [np.column_stack([xs, -2.0 - xs])],
             "double_root": _double_root_curves(),
         }
-        return StabilityDiagram(
-            plane, xs, ys, None, None, None, None, None, None, label, curves
-        )
+        return StabilityDiagram(plane, xs, ys, None, None, None, None, None, None, label,
+                                curves)
 
     if plane != "tau_alpha":
         raise DynamicsError("plane must be 'tau_alpha' or 't_s'")
     if quad is None:
         quad = QuadraticForm2(0.5, 0.0, 0.5)
     count = np.zeros((len(ys), len(xs)), dtype=int)
-    label_plus = np.empty((len(ys), len(xs)), dtype=object)
-    label_minus = np.empty((len(ys), len(xs)), dtype=object)
+    label_plus = np.full((len(ys), len(xs)), "", dtype=object)
+    label_minus = np.full((len(ys), len(xs)), "", dtype=object)
     phase_plus = np.full((len(ys), len(xs)), np.nan)
-    label_plus[:] = ""
-    label_minus[:] = ""
     for i, alpha in enumerate(ys):
-        for j, tau in enumerate(xs):
-            p = GenericMapParams(alpha=alpha, tau=tau, sigma=sigma, quad=quad)
-            fps = fixed_points(p)
-            count[i, j] = len(fps)
-            for fp in fps:
-                if fp.which in ("plus", "degenerate"):
-                    label_plus[i, j] = fp.classification
-                    imag = np.abs(fp.eigenvalues.imag)
-                    if np.max(imag) > 1e-9:
-                        k = int(np.argmax(imag))
-                        phase_plus[i, j] = abs(
-                            math.atan2(
-                                fp.eigenvalues[k].imag, fp.eigenvalues[k].real
-                            )
-                        )
-                if fp.which == "minus":
-                    label_minus[i, j] = fp.classification
+        row = GenericMapParams(alpha, xs, sigma, quad)
+        count[i], x_plus, x_minus = _fixed_point_locations(row)
+        plus, minus = count[i] >= 1, count[i] == 2
+        x = np.concatenate([x_plus[plus], x_minus[minus]])
+        tau = np.concatenate([xs[plus], xs[minus]])
+        labels, lam = classify_stability(
+            tau + (2 * quad.a + quad.b) * x, sigma - (2 * quad.c + quad.b) * x
+        )
+        k = np.count_nonzero(plus)
+        label_plus[i, plus], label_minus[i, minus] = labels[:k], labels[k:]
+        imag = np.abs(lam[:k].imag)
+        cplx = np.flatnonzero(np.max(imag, axis=1, initial=0.0) > 1e-9)
+        z = lam[cplx, np.argmax(imag[cplx], axis=1)]
+        # math.atan2: np.arctan2 differs from it in the last bit on some inputs
+        phase_plus[i, np.flatnonzero(plus)[cplx]] = [
+            abs(math.atan2(v.imag, v.real)) for v in z
+        ]
     tau_grid = np.linspace(xs[0], xs[-1], 8 * len(xs))
     curves = {
-        "saddle_node": [
-            np.column_stack([tau_grid, 0.25 * (tau_grid - sigma) ** 2])
-        ],
+        "saddle_node": [np.column_stack([tau_grid, 0.25 * (tau_grid - sigma) ** 2])],
         "period_doubling_plus": [],
         "period_doubling_minus": [],
         "double_root_plus": [],
@@ -775,41 +796,20 @@ def stability_diagram(
             arc = _pullback_ts_curve(ts, quad, sigma, which)
             if arc.size:
                 curves[f"double_root_{which}"].append(arc)
-    return StabilityDiagram(
-        plane,
-        xs,
-        ys,
-        quad,
-        sigma,
-        count,
-        label_plus,
-        label_minus,
-        phase_plus,
-        None,
-        curves,
-    )
+    return StabilityDiagram(plane, xs, ys, quad, sigma, count, label_plus, label_minus,
+                            phase_plus, None, curves)
 
 
 def _period_doubling_curve(tau_grid, q, sigma, which, alpha_range):
     """(tau, alpha) locus of t + s = -2 for the selected fixed point."""
     ac = q.a - q.c
-    out = []
     if abs(ac) < 1e-12:
         # t + s + 2 = 2 + tau + sigma for a = c: vertical line tau = -2 - sigma
         tau0 = -2.0 - sigma
         cap = 0.25 * (tau0 - sigma) ** 2  # fixed points exist below the parabola
         alphas = np.linspace(alpha_range[0], min(alpha_range[1], cap), 64)
-        return np.array([[tau0, a] for a in alphas if a <= cap])
-    for tau in tau_grid:
-        x = -(2.0 + tau + sigma) / (2.0 * ac)
-        alpha = -x * x - (tau - sigma) * x
-        disc = (tau - sigma) ** 2 - 4 * alpha
-        if disc < -1e-12:
-            continue
-        sq = math.sqrt(max(disc, 0.0))
-        x_sel = 0.5 * (-tau + sigma + sq) if which == "plus" else 0.5 * (
-            -tau + sigma - sq
-        )
-        if abs(x - x_sel) <= 1e-8 * max(1.0, abs(x)):
-            out.append((tau, alpha))
-    return np.asarray(out) if out else np.empty((0, 2))
+        alphas = alphas[alphas <= cap]
+        return np.column_stack([np.full(len(alphas), tau0), alphas])
+    x = -(2.0 + tau_grid + sigma) / (2.0 * ac)
+    alpha = -x * x - (tau_grid - sigma) * x
+    return _branch_points(x, tau_grid, alpha, sigma, which, -1e-12)

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import qvpmaps
-from qvpmaps import build_shear
+from qvpmaps import build_shear, cli
 from qvpmaps.cli import main
+from qvpmaps.dynamics import DynamicsError
 from util import random_case_map, random_shear_data
 
 # the directory this qvpmaps is imported from, first on the child's path
@@ -173,6 +174,31 @@ def test_iterate_escape_metadata(tmp_path):
     assert "# verdict = escaped-forward" in text
     assert "# asymptotic-axis = +x" in text
 
+
+
+def _iterate_escaping(tmp_path, monkeypatch, error):
+    def direction(orbit):
+        raise error
+
+    monkeypatch.setattr(cli, "asymptotic_direction", direction)
+    out = tmp_path / "orbit.csv"
+    argv = ["iterate", "--alpha", "0", "--tau", "0", "--x0", "10", "--y0", "0",
+            "--z0", "0", "--steps", "50", "--out", str(out)]
+    return main(argv), out
+
+
+def test_iterate_unsettled_direction_omits_axis(tmp_path, monkeypatch):
+    rc, out = _iterate_escaping(tmp_path, monkeypatch, DynamicsError("not settled"))
+    assert rc == 0
+    text = out.read_text()
+    assert "# verdict = escaped-forward" in text
+    assert "asymptotic-axis" not in text
+
+
+def test_iterate_direction_bug_propagates(tmp_path, monkeypatch):
+    # only DynamicsError means "no axis"; any other error is a fault to report
+    with pytest.raises(RuntimeError, match="bug"):
+        _iterate_escaping(tmp_path, monkeypatch, RuntimeError("bug"))
 
 def test_diagram_deterministic_and_svg(tmp_path):
     args = [

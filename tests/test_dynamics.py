@@ -29,6 +29,7 @@ from qvpmaps.dynamics import (
     NonGenericError,
     NotPositiveDefiniteError,
     Reversor,
+    _cubic_roots,
     _second_fix_defects,
 )
 
@@ -155,6 +156,44 @@ class TestClassifyStability:
         assert label == PERIOD_DOUBLING_BOUNDARY
         assert np.min(np.abs(lam + 1.0)) < 1e-9
 
+
+class TestBatchedClassification:
+    R = 0.7  # a point of the double-root curve t = 2r + 1/r^2, s = r^2 + 2/r
+    ROWS = [
+        (-3.0, -1.0),  # three real roots
+        (-2.0, -3.5),
+        (0.2, 0.3),  # a complex pair
+        (6.0, 4.0),
+        (3.0, 3.0),  # triple root
+        (-1.0, -1.0),  # codimension two
+        (2 * R + 1.0 / R**2, R * R + 2.0 / R),
+        (1.0, -3.0),  # t + s = -2
+        (0.5, 0.5),  # -1 < t = s < 3
+    ]
+
+    def test_batch_equals_rows_alone(self):
+        rng = np.random.default_rng(75)
+        ts = np.concatenate([self.ROWS, rng.uniform(-5, 5, (200, 2))])
+        labels, lam = classify_stability(ts[:, 0], ts[:, 1])
+        assert np.any(np.all(lam.imag == 0, axis=1)) and np.any(lam.imag != 0)
+        assert lam.tobytes() == _cubic_roots(ts[:, 0], ts[:, 1]).tobytes()
+        for (t, s), label, row in zip(ts, labels, lam):
+            one_label, one = classify_stability(t, s)
+            assert label == one_label
+            assert row.tobytes() == one.tobytes()
+            assert row.tobytes() == _cubic_roots(np.array([t]), np.array([s]))[0].tobytes()
+
+    def test_real_roots_polished_in_float64(self):
+        # recorded from the float64 polish; a complex polish moves the last bits
+        _, lam = classify_stability(-3.0, -1.0)
+        assert not np.any(lam.imag)
+        want = ["-0x1.9b6ed45058c8dp+1", "0x1.59aac0e3351f4p-1", "-0x1.d7dedf43a3f88p-2"]
+        assert [x.hex() for x in lam.real] == want
+
+    def test_empty_batch(self):
+        labels, lam = classify_stability(np.empty(0), np.empty(0))
+        assert labels.shape == (0,) and lam.shape == (0, 3)
+        assert _cubic_roots(np.empty(0), np.empty(0)).shape == (0, 3)
 
 class TestEscapeBound:
     def test_reference_value(self):
@@ -536,6 +575,10 @@ class TestStabilityDiagram:
         for lp, lm in zip(plus, minus):
             if lp in swap and lm in swap:
                 assert lm == swap[lp]
+
+    def test_tau_alpha_requires_normalization(self):
+        with pytest.raises(DynamicsError):
+            stability_diagram((-1, 1), (-1, 1), nx=3, ny=3, quad=QuadraticForm2(1, 1, 1))
 
     def test_t_s_plane(self):
         diag = stability_diagram((-4, 4), (-4, 4), nx=17, ny=17, plane="t_s")
