@@ -108,7 +108,13 @@ _pow = np.frompyfunc(pow, 2, 1)
 
 
 def _libm_pow(x, n):
-    return np.asarray(_pow(x, n), dtype=float)
+    try:
+        return np.asarray(_pow(x, n), dtype=float)
+    except OverflowError:
+        raise DynamicsError(
+            f"x ** {n} overflows float64 (largest |x| {np.max(np.abs(x)):g}); "
+            "the parameters are too large"
+        ) from None
 
 
 def _cubic(t, s, lam):

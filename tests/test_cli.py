@@ -161,6 +161,14 @@ def test_conflicting_parameter_sources(tmp_path):
     assert cp.returncode == 1
 
 
+def test_overflowing_parameters_are_one_error_line(tmp_path):
+    cp = run_cli("fixed-points", "--alpha=-1e300", "--tau=0", "--out", tmp_path / "f.csv")
+    assert cp.returncode == 1
+    lines = cp.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), cp.stderr
+    assert not (tmp_path / "f.csv").exists()
+
+
 def test_iterate_escape_metadata(tmp_path):
     out = tmp_path / "orbit.csv"
     cp = run_cli(

@@ -77,6 +77,11 @@ class TestFixedPoints:
         with pytest.raises(DynamicsError):
             fixed_points(GenericMapParams.make(0.0, 0.0, 0.0, 1.0, 1.0, 1.0))
 
+    def test_overflow_is_a_dynamics_error(self):
+        # x = 1e150: x ** 3 overflows in the classification of the points
+        with pytest.raises(DynamicsError, match="overflows float64"):
+            fixed_points(params(-1e300, 0.0))
+
     def test_trace_identities(self):
         rng = np.random.default_rng(71)
         for _ in range(50):

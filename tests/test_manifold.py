@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from qvpmaps import GenericMapParams, escape_bound, fixed_points, reversor_for
+from qvpmaps import manifold
 from qvpmaps.manifold import (
     ManifoldError,
+    ManifoldMesh,
     NonHyperbolicError,
+    _candidate_pairs,
+    _point_triangle_distance,
+    _stitch_segments,
+    _tri_tri_segment,
     grow_1d,
     grow_2d,
     hausdorff_distance,
@@ -327,3 +333,297 @@ class TestHeteroclinicLockstep:
     def test_empty_grid(self, fig2):
         p, _ = fig2
         assert heteroclinic_from_symmetry(p, reversor_for(p), (-0.2, -0.05), samples=1) == []
+
+
+# Scalar references: the one-pair, one-row-at-a-time mesh layer that the
+# array-level _candidate_pairs, _tri_tri_segment, _point_triangle_distance
+# and hausdorff_distance replace.
+
+
+def scalar_plane_chord(tri, dists):
+    pts = []
+    for i in range(3):
+        j = (i + 1) % 3
+        di, dj = dists[i], dists[j]
+        if di == 0.0 and dj == 0.0:
+            continue
+        if di == 0.0:
+            pts.append(tri[i])
+        elif di * dj < 0.0:
+            t = di / (di - dj)
+            pts.append(tri[i] + t * (tri[j] - tri[i]))
+    if len(pts) < 2:
+        return None
+    return pts[0], pts[1]
+
+
+def scalar_tri_tri_segment(t1, t2, min_len=1e-12):
+    n2 = np.cross(t2[1] - t2[0], t2[2] - t2[0])
+    d1 = (t1 - t2[0]) @ n2
+    if np.all(d1 > 0) or np.all(d1 < 0):
+        return None
+    n1 = np.cross(t1[1] - t1[0], t1[2] - t1[0])
+    d2 = (t2 - t1[0]) @ n1
+    if np.all(d2 > 0) or np.all(d2 < 0):
+        return None
+    direction = np.cross(n1, n2)
+    norm = np.linalg.norm(direction)
+    if norm < 1e-14 * max(np.linalg.norm(n1) * np.linalg.norm(n2), 1e-30):
+        return None
+    direction = direction / norm
+    c1 = scalar_plane_chord(t1, d1)
+    c2 = scalar_plane_chord(t2, d2)
+    if c1 is None or c2 is None:
+        return None
+    s1 = sorted((float(direction @ c1[0]), float(direction @ c1[1])))
+    s2 = sorted((float(direction @ c2[0]), float(direction @ c2[1])))
+    lo, hi = max(s1[0], s2[0]), min(s1[1], s2[1])
+    if hi - lo <= min_len:
+        return None
+    base = c1[0]
+    s_base = float(direction @ base)
+    return base + (lo - s_base) * direction, base + (hi - s_base) * direction
+
+
+def scalar_candidate_pairs(mesh_a, mesh_b):
+    corners = mesh_a.vertices[mesh_a.triangles]
+    amin, amax = corners.min(axis=1), corners.max(axis=1)
+    corners = mesh_b.vertices[mesh_b.triangles]
+    bmin, bmax = corners.min(axis=1), corners.max(axis=1)
+    cell = max(mesh_a.edge_length_bound(), mesh_b.edge_length_bound(), 1e-9)
+    grid = {}
+    for idx in range(len(amin)):
+        lo = np.floor(amin[idx] / cell).astype(int)
+        hi = np.floor(amax[idx] / cell).astype(int)
+        for i in range(lo[0], hi[0] + 1):
+            for j in range(lo[1], hi[1] + 1):
+                for k in range(lo[2], hi[2] + 1):
+                    grid.setdefault((i, j, k), []).append(idx)
+    for idx in range(len(bmin)):
+        lo = np.floor(bmin[idx] / cell).astype(int)
+        hi = np.floor(bmax[idx] / cell).astype(int)
+        seen = set()
+        for i in range(lo[0], hi[0] + 1):
+            for j in range(lo[1], hi[1] + 1):
+                for k in range(lo[2], hi[2] + 1):
+                    for a_idx in grid.get((i, j, k), ()):
+                        if a_idx in seen:
+                            continue
+                        seen.add(a_idx)
+                        if np.all(amin[a_idx] <= bmax[idx]) and np.all(
+                            bmin[idx] <= amax[a_idx]
+                        ):
+                            yield a_idx, idx
+
+
+def scalar_point_triangle_distance(p, tri):
+    a, b, c = tri
+    ab, ac, ap = b - a, c - a, p - a
+    d1, d2 = ab @ ap, ac @ ap
+    if d1 <= 0 and d2 <= 0:
+        return np.linalg.norm(ap)
+    bp = p - b
+    d3, d4 = ab @ bp, ac @ bp
+    if d3 >= 0 and d4 <= d3:
+        return np.linalg.norm(bp)
+    vc = d1 * d4 - d3 * d2
+    if vc <= 0 and d1 >= 0 and d3 <= 0:
+        t = d1 / (d1 - d3)
+        return np.linalg.norm(ap - t * ab)
+    cp = p - c
+    d5, d6 = ab @ cp, ac @ cp
+    if d6 >= 0 and d5 <= d6:
+        return np.linalg.norm(cp)
+    vb = d5 * d2 - d1 * d6
+    if vb <= 0 and d2 >= 0 and d6 <= 0:
+        t = d2 / (d2 - d6)
+        return np.linalg.norm(ap - t * ac)
+    va = d3 * d6 - d5 * d4
+    if va <= 0 and (d4 - d3) >= 0 and (d5 - d6) >= 0:
+        t = (d4 - d3) / ((d4 - d3) + (d5 - d6))
+        return np.linalg.norm(p - (b + t * (c - b)))
+    denom = va + vb + vc
+    v = vb / denom
+    w = vc / denom
+    return np.linalg.norm(p - (a + v * ab + w * ac))
+
+
+def scalar_hausdorff_distance(pts_a, pts_b):
+    def directed(x, y):
+        worst = 0.0
+        for p in x:
+            worst = max(worst, float(np.min(np.linalg.norm(y - p, axis=1))))
+        return worst
+
+    return max(directed(pts_a, pts_b), directed(pts_b, pts_a))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def soup(vertices, triangles):
+    """A triangle soup as a mesh, for the intersection layer."""
+    return ManifoldMesh(
+        vertices=np.asarray(vertices, dtype=float), triangles=np.asarray(triangles),
+        generation=None, phi=None, ring_of_vertex=None, fixed_point=None,
+        kind="stable", eps=0.0, depth=0, subrings=1,
+    )
+
+
+def random_soup(rng, n, lo, hi, size):
+    centers = rng.uniform(lo, hi, (n, 1, 3))
+    verts = (centers + rng.normal(scale=size, size=(n, 3, 3))).reshape(-1, 3)
+    return soup(verts, np.arange(3 * n).reshape(n, 3))
+
+
+@pytest.fixture(scope="module")
+def fig2_meshes(fig2):
+    p, fps = fig2
+    ws = grow_2d(p, fps["plus"], "stable", eps=0.36, depth=8, ring_points=64)
+    wu = grow_2d(p, fps["minus"], "unstable", eps=0.36, depth=8, ring_points=64)
+    return wu, ws
+
+
+def assert_narrowphase_matches(t1, t2):
+    hit, seg = _tri_tri_segment(t1, t2)
+    want = [scalar_tri_tri_segment(a, b) for a, b in zip(t1, t2)]
+    assert hit.tolist() == [w is not None for w in want]
+    hits = [w for w in want if w is not None]
+    assert len(seg) == len(hits)
+    for got, w in zip(seg, hits):
+        assert same_bits(got[0], w[0]) and same_bits(got[1], w[1])
+    return seg, hits
+
+
+class TestMeshLayerParity:
+    def test_fig2_pairs_segments_curves(self, fig2, fig2_meshes):
+        wu, ws = fig2_meshes
+        pairs = list(_candidate_pairs(wu, ws))
+        assert pairs == list(scalar_candidate_pairs(wu, ws))
+        assert len(pairs) == 1348
+        ia, ib = np.array(pairs).T
+        seg, hits = assert_narrowphase_matches(wu.vertices[wu.triangles[ia]],
+                                               ws.vertices[ws.triangles[ib]])
+        assert len(seg) == 139
+        curves = intersect_meshes(wu, ws, reversor=reversor_for(fig2[0]))
+        assert len(curves) == 3
+        got, want = _stitch_segments(seg), _stitch_segments(hits)
+        assert len(got) == len(want)
+        assert all(same_bits(g, w) for g, w in zip(got, want))
+        assert sorted(len(c.points) for c in curves) == sorted(len(w) for w in want)
+
+    @pytest.mark.parametrize("block", [None, 64])
+    def test_random_soup_pairs(self, monkeypatch, block):
+        if block:
+            # many join blocks, each split between query boxes
+            monkeypatch.setattr(manifold, "_JOIN_BLOCK", block)
+        rng = np.random.default_rng(11)
+        a = random_soup(rng, 600, 0.0, 1.0, 0.06)
+        # b reaches past the grid of a on every side
+        b = random_soup(rng, 600, -0.5, 1.5, 0.08)
+        pairs = list(_candidate_pairs(a, b))
+        assert len(pairs) > 100
+        assert pairs == list(scalar_candidate_pairs(a, b))
+        assert list(_candidate_pairs(b, a)) == list(scalar_candidate_pairs(b, a))
+
+    def test_disjoint_and_empty_soups(self):
+        rng = np.random.default_rng(12)
+        a = random_soup(rng, 20, 0.0, 1.0, 0.03)
+        far = random_soup(rng, 20, 10.0, 11.0, 0.03)
+        empty = soup(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
+        assert list(_candidate_pairs(a, far)) == []
+        assert list(_candidate_pairs(empty, a)) == []
+        assert list(_candidate_pairs(a, empty)) == []
+
+    def test_narrowphase_degenerate_pairs(self):
+        base = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        line = np.array([[0.2, 0.2, -1.0], [0.2, 0.2, 0.0], [0.2, 0.2, 1.0]])
+        cases = [
+            (base, base + [0.2, 0.2, 0.0]),  # coplanar
+            (base, base),  # identical
+            (np.array([[0.2, 0.2, 0.0], [0.3, 0.2, 1.0], [0.2, 0.3, 1.0]]), base),  # touches
+            (np.array([[0.2, 0.2, 0.0], [0.3, 0.2, 1.0], [0.2, 0.3, -1.0]]), base),  # vertex on plane
+            (base, np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])),  # shared edge
+            (base, np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.5, 0.5]])),  # shared edge, tilted
+            (line, base),  # zero area
+            (base, line),
+            (line, line),
+            (np.array([[0.1, 0.1, -1.0], [0.1, 0.1, -1.0], [0.3, 0.2, 1.0]]), base),  # repeated vertex
+            (np.array([[0.2, 0.2, -1.0], [0.6, 0.2, 1.0], [0.2, 0.6, 1.0]]), base),  # transversal
+        ]
+        t1 = np.array([c[0] for c in cases])
+        t2 = np.array([c[1] for c in cases])
+        assert len(assert_narrowphase_matches(t1, t2)[0]) > 0
+        assert_narrowphase_matches(t2, t1)
+
+    def test_narrowphase_lattice_pairs(self):
+        # small-integer vertices: many exact zeros, shared vertices and edges,
+        # coplanar and zero-area triangles
+        rng = np.random.default_rng(13)
+        t1 = rng.integers(0, 3, (3000, 3, 3)).astype(float)
+        t2 = rng.integers(0, 3, (3000, 3, 3)).astype(float)
+        assert len(assert_narrowphase_matches(t1, t2)[0]) > 100
+
+    def test_point_triangle_distance_regions(self):
+        rng = np.random.default_rng(14)
+        tris = rng.normal(size=(400, 3, 3))
+        tris[:50, 2] = tris[:50, 1]  # zero area
+        points = rng.normal(scale=2.0, size=(25, 3))
+        # small-integer triangles and points hit every region boundary exactly
+        lattice = rng.integers(0, 3, (400, 3, 3)).astype(float)
+        for tris, points in ((tris, points), (lattice, rng.integers(-1, 4, (25, 3)))):
+            for p in points.astype(float):
+                got = _point_triangle_distance(p, tris)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    want = [scalar_point_triangle_distance(p, t) for t in tris]
+                assert same_bits(got, want)
+
+    def test_point_mesh_distance(self, fig2):
+        p, fps = fig2
+        mesh = grow_2d(p, fps["minus"], "unstable", eps=0.05, depth=3, ring_points=32)
+        v, t = mesh.vertices, mesh.triangles
+        rng = np.random.default_rng(15)
+        for q in v[rng.choice(len(v), 10)] + rng.normal(scale=0.02, size=(10, 3)):
+            d = np.linalg.norm(v[t].mean(axis=1) - q, axis=1)
+            cand = np.where(d <= np.sort(d)[63] + mesh.edge_length_bound())[0]
+            want = min(scalar_point_triangle_distance(q, v[t[i]]) for i in cand)
+            assert point_mesh_distance(q, mesh) == want
+
+    @pytest.mark.parametrize("block", [None, 500])
+    def test_hausdorff_clouds(self, monkeypatch, block):
+        if block:
+            monkeypatch.setattr(manifold, "_JOIN_BLOCK", block)
+        rng = np.random.default_rng(16)
+        a = rng.normal(size=(400, 3))
+        b = rng.normal(size=(300, 3)) * [1.0, 2.0, 0.5]
+        # on a surface, as mesh vertices are
+        s = rng.uniform(-1, 1, (500, 2))
+        c = np.column_stack([s, np.sin(3 * s[:, 0]) * s[:, 1]])
+        d = c + rng.normal(scale=1e-3, size=c.shape)
+        cases = [
+            (a, b), (c, d), (d, c),
+            (a, b + 100.0),  # far apart: no row has a same-cell bound
+            (a[:1], b), (a, b[:1]), (a[:1], b[:1]),  # one point
+            (np.repeat(a[:40], 5, axis=0), a[:40]),  # duplicates
+            (c, c), (np.repeat(c[:3], 50, axis=0), np.repeat(c[:3], 50, axis=0)),
+        ]
+        for x, y in cases:
+            assert hausdorff_distance(x, y) == scalar_hausdorff_distance(x, y)
+
+    def test_hausdorff_clustered_clouds(self, monkeypatch):
+        # one exact row per block, so that the break is tested after every
+        # row; clusters of mixed spread give rows whose cell bound is loose
+        monkeypatch.setattr(manifold, "_JOIN_BLOCK", 8)
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            k = rng.integers(1, 6)
+            centers = 3.0 * rng.normal(size=(k, 3))
+
+            def draw(n):
+                spread = rng.uniform(0.05, 1.0, (n, 1))
+                return centers[rng.integers(0, k, n)] + spread * rng.normal(size=(n, 3))
+
+            x, y = draw(rng.integers(1, 80)), draw(rng.integers(1, 80))
+            assert hausdorff_distance(x, y) == scalar_hausdorff_distance(x, y)
