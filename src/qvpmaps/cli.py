@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 predicate-failure results (e.g. not a shear),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -40,7 +41,8 @@ from .normalform import (
     to_normal_form,
     z_dimension,
 )
-from .polymap import MapError, QuadMap, has_quadratic_inverse, is_volume_preserving
+from .polymap import DEFAULT_TOL, MapError, QuadMap
+from .polymap import has_quadratic_inverse, is_volume_preserving
 from .shear import AFFINE, NOT_A_SHEAR, extract_shear
 from .symplectic import (
     is_symplectic,
@@ -198,7 +200,7 @@ def cmd_classify(args):
         report["quadratic_inverse"] = {"value": bool(quad_inv)}
         predicate_failed = predicate_failed or not quad_inv
         if quad_inv and m.dim == 3:
-            _, s_part = m.standard_part()
+            T, s_part = m.standard_part()
             res = extract_shear(s_part)
             if res is AFFINE:
                 report["shear"] = {"value": "affine"}
@@ -207,7 +209,6 @@ def cmd_classify(args):
                 predicate_failed = True
             else:
                 report["shear"] = {"value": "shear", **res.to_dict()}
-                T = m.standard_part()[0]
                 report["case_tag"] = {
                     "dim_z": z_dimension(res.v, T.linear)
                 }
@@ -539,7 +540,9 @@ def cmd_symmetric(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The CLI parser, built once per process and shared; callers must not change it."""
     parser = _Parser(
         prog="qvpmaps",
         description=(
@@ -553,7 +556,7 @@ def build_parser():
     c = sub.add_parser("classify", help="predicate chain for a map file")
     c.add_argument("map_file")
     c.add_argument("--symplectic", action="store_true")
-    c.add_argument("--tol", type=float, default=1e-10)
+    c.add_argument("--tol", type=float, default=DEFAULT_TOL)
     c.add_argument("--out", default="-")
     c.set_defaults(func=cmd_classify)
 
@@ -613,9 +616,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,6 +12,7 @@ quadratic-inverse test (the cyclic triple identity) used everywhere else.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -345,44 +346,46 @@ def m_of(m, x):
     return m.m_of(x)
 
 
-def _basis_matrices(quad, normalize=True):
-    """Matrices M_k with M(x) = sum_k x_k M_k, optionally scaled to unit size."""
-    n = quad.shape[0]
-    mats = [quad[:, :, k] for k in range(n)]
-    scale = max([1e-300] + [float(np.max(np.abs(M))) for M in mats])
-    if normalize and scale > 0:
-        mats = [M / scale for M in mats]
-    return mats, scale
+def _basis_matrices(quad):
+    """Contiguous stack of the M_k, M(x) = sum_k x_k M_k, scaled to unit size."""
+    scale = max(1e-300, float(np.max(np.abs(quad), initial=0.0)))
+    return np.ascontiguousarray(np.moveaxis(quad, 2, 0)) / scale
+
+
+@functools.cache
+def _expansion_plan(n):
+    """Per degree 2..n, the index of the monomial e + e_k for each (e, k), with
+    monomials numbered in order of first appearance: the order in which
+    ``np.add.at`` then sums each monomial's products, as a term-by-term
+    expansion would."""
+    level = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    plan = []
+    for _ in range(n - 1):
+        nxt = {}
+        index = [nxt.setdefault(e[:k] + (e[k] + 1,) + e[k + 1:], len(nxt))
+                 for e in level for k in range(n)]
+        plan.append((np.array(index), len(nxt)))
+        level = list(nxt)
+    return tuple(plan)
 
 
 def nilpotency_residual(quad):
     """Max coefficient of the symbolic expansion of [M(x)]^n, scale-invariant.
 
-    The expansion is exact: [sum_k x_k M_k]^n is accumulated term by term in
-    the monomial basis, so a zero here is a polynomial identity, not a sample
-    test.
+    The expansion is exact: [sum_k x_k M_k]^n is accumulated in the monomial
+    basis one degree at a time, each degree's products A_e M_k formed as one
+    stacked matmul and summed into their monomials e + e_k, so a zero here is
+    a polynomial identity, not a sample test.
     """
-    n = quad.shape[0]
-    mats, _ = _basis_matrices(quad)
-    acc = {}
-    for k, M in enumerate(mats):
-        e = [0] * n
-        e[k] = 1
-        acc[tuple(e)] = M.copy()
-    for _ in range(n - 1):
-        nxt = {}
-        for e, A in acc.items():
-            for k, M in enumerate(mats):
-                e2 = list(e)
-                e2[k] += 1
-                key = tuple(e2)
-                prod = A @ M
-                if key in nxt:
-                    nxt[key] += prod
-                else:
-                    nxt[key] = prod
-        acc = nxt
-    return max(float(np.max(np.abs(A))) for A in acc.values())
+    mats = _basis_matrices(quad)
+    n = mats.shape[0]
+    acc = mats
+    for index, size in _expansion_plan(n):
+        prods = np.matmul(acc[:, None], mats[None]).reshape(-1, n, n)
+        # -0.0 + p == p for every p, signed zeros included
+        acc = np.full((size, n, n), -0.0)
+        np.add.at(acc, index, prods)
+    return float(np.max(np.abs(acc), initial=0.0))
 
 
 def triple_identity_residual(quad):
@@ -391,16 +394,11 @@ def triple_identity_residual(quad):
     The identity is multilinear in (x, y, z), so checking every ordered basis
     triple decides it exactly.
     """
-    n = quad.shape[0]
-    mats, _ = _basis_matrices(quad)
-    prods = [[mats[i] @ mats[j] for j in range(n)] for i in range(n)]
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                r = prods[i][j][:, k] + prods[j][k][:, i] + prods[k][i][:, j]
-                worst = max(worst, float(np.max(np.abs(r))))
-    return worst
+    mats = _basis_matrices(quad)
+    prods = np.matmul(mats[:, None], mats[None])
+    i, j, k = np.indices(mats.shape)
+    r = prods[i, j, :, k] + prods[j, k, :, i] + prods[k, i, :, j]
+    return float(np.max(np.abs(r), initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import qvpmaps
 from qvpmaps import build_shear, cli
 from qvpmaps.cli import main
 from qvpmaps.dynamics import DynamicsError
-from util import random_case_map, random_shear_data
+from util import random_case_map, random_shear_data, random_symplectic_quadmap
 
 # the directory this qvpmaps is imported from, first on the child's path
 SRC_DIR = str(Path(qvpmaps.__file__).resolve().parent.parent)
@@ -267,3 +267,19 @@ def test_main_callable_in_process(tmp_path, shear_file):
     out = tmp_path / "rep.json"
     assert main(["classify", str(shear_file), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["shear"]["value"] == "shear"
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, shear_file, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    f, *_ = random_symplectic_quadmap(np.random.default_rng(94), 2)
+    symp = write_map(tmp_path / "symp.json", f)
+    assert main(["classify", str(symp), "--symplectic", "--out", str(tmp_path / "s.json")]) == 0
+    capsys.readouterr()
+    assert main(["no-such-command"]) == 1
+    err = capsys.readouterr().err
+    assert err == run_cli("no-such-command").stderr
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert main(["classify", str(shear_file)]) == 0
+    out = capsys.readouterr().out
+    assert out == run_cli("classify", shear_file).stdout
+    assert "symplectic" not in json.loads(out)

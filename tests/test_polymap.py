@@ -16,8 +16,10 @@ from qvpmaps.polymap import (
     NotVolumePreservingError,
     NoQuadraticInverseError,
     PolyMap,
+    nilpotency_residual,
+    triple_identity_residual,
 )
-from util import random_shear_data, random_vp_map
+from util import random_gradient_shear, random_shear_data, random_vp_map
 
 from qvpmaps import build_shear
 
@@ -128,6 +130,14 @@ class TestVolumePreserving:
     def test_non_unimodular_linear(self):
         cert = is_volume_preserving(AffineMap(2 * np.eye(3), np.zeros(3)).as_quadmap())
         assert not cert and cert.condition.startswith("det")
+
+    def test_nan_coefficient_not_certified(self):
+        quad = np.zeros((3, 3, 3))
+        quad[0, 1, 1] = 1.0
+        quad[0, 2, 2] = np.nan
+        m = QuadMap.standard_form(quad)
+        assert not is_volume_preserving(m)
+        assert not has_quadratic_inverse(m)
 
 
 class TestQuadraticInverse:
@@ -254,3 +264,108 @@ class TestSerialization:
         assert np.array_equal(g.const, f.const)
         assert np.array_equal(g.linear, f.linear)
         assert np.array_equal(g.quad, f.quad)
+
+
+def _ref_basis_matrices(quad):
+    n = quad.shape[0]
+    mats = [quad[:, :, k] for k in range(n)]
+    scale = max([1e-300] + [float(np.max(np.abs(M))) for M in mats])
+    return [M / scale for M in mats]
+
+
+def _ref_nilpotency_residual(quad):
+    """Term-by-term dict expansion of [sum_k x_k M_k]^n, one matmul per term."""
+    n = quad.shape[0]
+    mats = _ref_basis_matrices(quad)
+    acc = {}
+    for k, M in enumerate(mats):
+        e = [0] * n
+        e[k] = 1
+        acc[tuple(e)] = M.copy()
+    for _ in range(n - 1):
+        nxt = {}
+        for e, A in acc.items():
+            for k, M in enumerate(mats):
+                e2 = list(e)
+                e2[k] += 1
+                key = tuple(e2)
+                prod = A @ M
+                if key in nxt:
+                    nxt[key] += prod
+                else:
+                    nxt[key] = prod
+        acc = nxt
+    return max(float(np.max(np.abs(A))) for A in acc.values())
+
+
+def _ref_triple_identity_residual(quad):
+    """The cyclic identity checked one ordered basis triple at a time."""
+    n = quad.shape[0]
+    mats = _ref_basis_matrices(quad)
+    prods = [[mats[i] @ mats[j] for j in range(n)] for i in range(n)]
+    worst = 0.0
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                r = prods[i][j][:, k] + prods[j][k][:, i] + prods[k][i][:, j]
+                worst = max(worst, float(np.max(np.abs(r))))
+    return worst
+
+
+def _assert_residuals_match_reference(quad):
+    assert nilpotency_residual(quad) == _ref_nilpotency_residual(quad)
+    assert triple_identity_residual(quad) == _ref_triple_identity_residual(quad)
+
+
+def _triangular_quad(rng, n):
+    """A_i[j, k] != 0 only for j, k > i: M(x) is strictly upper triangular."""
+    quad = np.zeros((n, n, n))
+    for i in range(n):
+        quad[i, i + 1:, i + 1:] = rng.standard_normal((n - i - 1,) * 2)
+    return quad + quad.transpose(0, 2, 1)
+
+
+class TestResidualParity:
+    """The stacked residuals equal the term-by-term reference bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_seeded_tensors(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(10):
+            nilpotent = _triangular_quad(rng, n)
+            assert nilpotency_residual(nilpotent) == 0.0
+            generic = rng.standard_normal((n, n, n))
+            signed_zeros = np.where(rng.random((n, n, n)) < 0.5, -0.0, generic)
+            for quad in (nilpotent, generic, generic + generic.transpose(0, 2, 1),
+                         signed_zeros, 1e-200 * generic, 1e150 * generic):
+                _assert_residuals_match_reference(quad)
+        for quad in (np.zeros((n, n, n)), np.full((n, n, n), -0.0), 1e-310 * generic):
+            _assert_residuals_match_reference(quad)
+        assert nilpotency_residual(np.zeros((n, n, n))) == 0.0
+        assert triple_identity_residual(np.zeros((n, n, n))) == 0.0
+
+    def test_shear_tensors(self):
+        rng = np.random.default_rng(107)
+        for _ in range(10):
+            f, _, _ = random_vp_map(rng)
+            _assert_residuals_match_reference(f.standard_part()[1].quad)
+            for half_dim in (1, 2, 3):
+                _assert_residuals_match_reference(random_gradient_shear(rng, half_dim).quad)
+
+    def test_property(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        coeff = st.floats(-1e3, 1e3, allow_nan=False)
+        tensors = st.integers(1, 6).flatmap(
+            lambda n: st.lists(coeff, min_size=n**3, max_size=n**3).map(
+                lambda v: np.reshape(v, (n, n, n))
+            )
+        )
+
+        @hyp.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @hyp.given(tensors)
+        def check(quad):
+            _assert_residuals_match_reference(quad)
+            _assert_residuals_match_reference(quad + quad.transpose(0, 2, 1))
+
+        check()
