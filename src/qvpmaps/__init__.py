@@ -6,11 +6,9 @@ from .polymap import (
     PolyMap,
     QuadMap,
     compose,
-    evaluate,
     has_quadratic_inverse,
     invert_quadratic,
     is_volume_preserving,
-    m_of,
 )
 from .shear import AFFINE, NOT_A_SHEAR, ShearData, build_shear, extract_shear, power
 from .normalform import (

@@ -70,25 +70,26 @@ class GenericMapParams:
         q = self.quad
         return _case1_template(self.alpha, self.tau, self.sigma, q.a, q.b, q.c)
 
-    # step and step_back map the last axis of an (..., 3) array, in the
-    # array's precision (float64 or np.longdouble).  Reversing all axes on
+    # The map's one formula per direction: _ahead and _behind give the
+    # coordinate that step and step_back add to a point (x, y, z) =
+    # (x_n, x_{n-1}, x_{n-2}) of the recurrence, x_{n+1} and x_{n-3}, in the
+    # precision of their operands (float64 or np.longdouble).  step and
+    # step_back map the last axis of an (..., 3) array; reversing all axes on
     # the way in and out keeps a single point cheap, where indexing
     # pt[..., k] would make every operand a 0-d array.
+    def _ahead(self, x, y, z, out=None):
+        return np.add(self.alpha + self.tau * x - self.sigma * y + z, self.quad(x, y), out=out)
+
+    def _behind(self, x, y, z, out=None):
+        return np.subtract(x - self.alpha - self.tau * y + self.sigma * z, self.quad(y, z), out=out)
+
     def step(self, pt):
         x, y, z = np.asarray(pt).T
-        return np.array(
-            [self.alpha + self.tau * x - self.sigma * y + z + self.quad(x, y), x, y]
-        ).T
+        return np.array([self._ahead(x, y, z), x, y]).T
 
     def step_back(self, pt):
         x, y, z = np.asarray(pt).T
-        return np.array(
-            [
-                y,
-                z,
-                x - self.alpha - self.tau * y + self.sigma * z - self.quad(y, z),
-            ]
-        ).T
+        return np.array([y, z, self._behind(x, y, z)]).T
 
     def jacobian(self, pt):
         x, y, _ = pt

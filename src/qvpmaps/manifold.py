@@ -15,7 +15,7 @@ pruned Hausdorff distance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -280,18 +280,9 @@ def grow_2d(
             )
         )
     return ManifoldMesh(
-        vertices=vertices,
-        triangles=np.asarray(tris, dtype=int),
-        generation=gen,
-        phi=phi_all,
-        ring_of_vertex=ring_idx,
-        fixed_point=fp,
-        kind=kind,
-        eps=float(eps),
-        depth=int(depth),
-        subrings=m,
-        truncated=truncated,
-        params=p,
+        vertices=vertices, triangles=np.asarray(tris, dtype=int), generation=gen, phi=phi_all,
+        ring_of_vertex=ring_idx, fixed_point=fp, kind=kind, eps=float(eps), depth=int(depth),
+        subrings=m, truncated=truncated, params=p,
     )
 
 
@@ -413,17 +404,9 @@ def grow_1d(p, fp, kind, eps=None, depth=8, refine=None, seed_points=8, box=None
                 pts = pts[:cut]
                 entries = entries[:cut]
                 truncated = True
-        branches.append(
-            ManifoldBranch(
-                points=pts,
-                generation=np.asarray([g for g, _ in entries]),
-                sign=sign,
-                kind=kind,
-                fixed_point=fp,
-                double_step=double,
-                truncated=truncated,
-            )
-        )
+        branches.append(ManifoldBranch(
+            points=pts, generation=np.asarray([g for g, _ in entries]), sign=sign, kind=kind,
+            fixed_point=fp, double_step=double, truncated=truncated))
     return branches[0], branches[1]
 
 
@@ -844,6 +827,9 @@ ORBIT_BUDGET = 2500
 #: heteroclinic_from_symmetry drops finished orbits from its lockstep arrays
 #: in blocks of this many rows.
 _ROW_BLOCK = 32
+#: heteroclinic_from_symmetry steps its orbits this many times between two
+#: passes of its capture, exit and escape tests.
+_CHUNK = 12
 
 
 @dataclass(frozen=True)
@@ -854,6 +840,117 @@ class HeteroclinicPoint:
     s: float
     forward_distance: float
     backward_distance: float
+
+
+def _heteroclinic_stages(p, r):
+    """The lockstep stages of heteroclinic_from_symmetry for p and its
+    reversor r, over arrays of long-double s: episode_sides(s), the side of
+    each orbit from r.fix_line(s), and certify(s), its closest approaches
+    forward to the type-A fixed point and backward to the other."""
+    fps = fixed_points(p)
+    if len(fps) != 2:
+        raise ManifoldError("need two distinct fixed points")
+    target = next((f for f in fps if f.classification == "type_A"), None)
+    other = next((f for f in fps if f is not target), None)
+    if target is None:
+        raise ManifoldError("no type-A fixed point: forward convergence target missing")
+    split = linear_data(p, target)
+    if split.stable_basis.shape[1] != 2:
+        raise ManifoldError("target fixed point has no 2D stable manifold")
+    escape_lim = 1e6
+    if p.quad.is_positive_definite():
+        escape_lim = 1.000001 * escape_bound(p.quad, p.alpha, p.tau, p.sigma)
+
+    # p_ld is p with its coefficients as 0-d long-double arrays: the same
+    # values, but no step converts a Python float (about 0.6 us per
+    # operation) or a long-double scalar.  Distances are rounded to double
+    # before they are compared.  A fixed point (x, x, x) has the exact centre x.
+    ld = np.longdouble
+    p_ld = GenericMapParams(*(np.array(v, dtype=ld) for v in (p.alpha, p.tau, p.sigma)),
+                            QuadraticForm2(*(np.array(v, dtype=ld) for v in astuple(p.quad))))
+    x_t = target.location.astype(ld)
+    w_u = split.unstable_basis[:, 0].astype(ld)
+
+    def lockstep(s, backward, c, settle):
+        """Run the orbits from r.fix_line(s) forward (or backward) for up to
+        ORBIT_BUDGET steps and call settle(rows, buf, d, esc) every _CHUNK
+        steps.  Column j follows s[rows[j]]; after the chunk's step k + 1 its
+        x values are buf[k + 1:k + 4] in the order of travel, d[k] is their
+        distance to (c, c, c) and esc[k] whether they left the escape box
+        (nan and False once j has finished).  settle returns which columns
+        finish in this chunk."""
+        rows, live = np.arange(len(s)), np.ones(len(s), dtype=bool)
+        buf = np.empty((_CHUNK + 3, len(s)), dtype=ld)
+        buf[:3] = r.fix_line(np.asarray(s, dtype=ld)).T[:: 1 if backward else -1]
+        new, lag = (p_ld._behind, 0) if backward else (p_ld._ahead, 2)
+        t = 0
+        # A finished column is stepped to the end of its chunk and then parked
+        # at c, as special values are slow in x87 arithmetic.  Finished
+        # columns leave in blocks of _ROW_BLOCK: numpy keeps freed buffers
+        # under 1 KiB for each array length, and they stay resident.
+        with np.errstate(over="ignore", invalid="ignore"):
+            while len(rows) and t < ORBIT_BUDGET:
+                steps = min(_CHUNK, ORBIT_BUDGET - t)
+                t += steps
+                b = buf[:, : len(rows)]
+                for k in range(steps):
+                    new(b[k + lag], b[k + 1], b[k + 2 - lag], out=b[k + 3])
+                sq = (b[1 : steps + 3] - c) ** 2  # summed in the point's order
+                d = (sq[:-2] + sq[1:-1]) + sq[2:] if backward else (sq[2:] + sq[1:-1]) + sq[:-2]
+                d = np.where(live, np.sqrt(d).astype(float), np.nan)
+                big = np.abs(b[1 : steps + 3])
+                big = np.maximum(np.maximum(big[:-2], big[1:-1]), big[2:]).astype(float)
+                live &= ~settle(rows, b, d, (big > escape_lim) & live)
+                b[:3] = b[steps : steps + 3]
+                b[:3, ~live] = c
+                size = -(-np.count_nonzero(live) // _ROW_BLOCK) * _ROW_BLOCK
+                if size < len(rows):  # keep the running columns, padded
+                    keep = np.argsort(~live, kind="stable")[:size]
+                    rows, live = rows[keep], live[keep]
+                    buf[:3, :size] = b[:3, keep]
+
+    def first(events):
+        """Per column: whether events has a True, and the step of the first."""
+        k = events.argmax(axis=0)
+        return events[k, np.arange(len(k))], k
+
+    def episode_sides(s):
+        """Sign of the unstable component of each orbit at its first exit from
+        its first close-approach episode; nan when it never comes close, or
+        leaves the escape box before it does."""
+        sides, caught = np.full(len(s), np.nan), np.zeros(len(s), dtype=bool)
+
+        def settle(rows, buf, d, esc):
+            # caught by the end of each step; a capture step has no exit, as
+            # EXIT_RADIUS > CAPTURE_RADIUS, so this is caught before the step
+            now = np.logical_or.accumulate(d < CAPTURE_RADIUS, axis=0) | caught[rows]
+            done, k = first(~now & esc | now & (d > EXIT_RADIUS))
+            j = np.flatnonzero(done & now[k, np.arange(len(k))])
+            if len(j):
+                proj = ((buf[[k[j] + 3, k[j] + 2, k[j] + 1], j].T - x_t) @ w_u).astype(float)
+                sides[rows[j]] = np.where(proj != 0, np.copysign(1.0, proj), np.nan)
+            caught[rows] = now[-1]
+            return done
+
+        lockstep(s, False, x_t[0], settle)
+        return sides
+
+    def closest_approach(s, backward, c):
+        """Least distance to (c, c, c) over each orbit's first ORBIT_BUDGET
+        steps, stopping after the step that leaves the escape box."""
+        best = np.full(len(s), np.inf)
+
+        def settle(rows, buf, d, esc):
+            done, k = first(esc)
+            upto = np.arange(len(d))[:, None] <= np.where(done, k, len(d))
+            best[rows] = np.fmin(best[rows], np.fmin.reduce(np.where(upto, d, np.inf)))
+            return done
+
+        lockstep(s, backward, c, settle)
+        return best
+
+    return episode_sides, lambda s: (closest_approach(s, False, x_t[0]),
+                                     closest_approach(s, True, ld(other.location[0])))
 
 
 def heteroclinic_from_symmetry(p, r, bracket, samples=600):
@@ -870,128 +967,29 @@ def heteroclinic_from_symmetry(p, r, bracket, samples=600):
     to one fixed point and backward convergence to the other, both below
     HETEROCLINIC_TOL.
 
-    Each stage runs all its orbits in lockstep and drops them as they
-    finish: the sample scan, every bisection round and the certification.
-    Its orbits are the rows of one (N, 3) np.longdouble array that starts on
-    r.fix_line and is moved by GenericMapParams.step (step_back for the
-    backward certification) with p's coefficients in long double.  A round
-    lasts as long as its slowest orbit, and near a root that orbit shadows
-    the stable manifold for thousands of steps.
+    Each stage runs its orbits in lockstep and drops them as they finish:
+    the sample scan, every bisection round and both certifications.  An
+    orbit is a column of a (_CHUNK + 3, N) np.longdouble buffer holding the
+    normal form's scalar recurrence: x_{n-2}, x_{n-1}, x_n and the next
+    _CHUNK values, by the formula of GenericMapParams.step (or step_back).
+    Then one array pass runs the capture, exit, escape and distance tests of
+    those steps and takes each orbit's first event, bitwise as if (N, 3)
+    points were tested after every step.  A round lasts as long as its
+    slowest orbit; near a root, that one shadows the stable manifold for
+    thousands of steps.
 
     The cube-root conditioning of the closest approach puts the
     double-precision floor near 1e-6 for contraction rates of a few percent,
     so the certificate relies on np.longdouble being the 80-bit x87 format
     (as on x86-64 Linux); where it is float64 the search runs in double.
     """
-    fps = fixed_points(p)
-    if len(fps) != 2:
-        raise ManifoldError("need two distinct fixed points")
-    target = next((f for f in fps if f.classification == "type_A"), None)
-    other = next((f for f in fps if f is not target), None)
-    if target is None:
-        raise ManifoldError("no type-A fixed point: forward convergence target missing")
-    split = linear_data(p, target)
-    if split.stable_basis.shape[1] != 2:
-        raise ManifoldError("target fixed point has no 2D stable manifold")
-    w_u = split.unstable_basis[:, 0]
-    kappa = None
-    if p.quad.is_positive_definite():
-        kappa = escape_bound(p.quad, p.alpha, p.tau, p.sigma)
-    escape_lim = 1.000001 * kappa if kappa is not None else 1e6
-
-    # Orbits are (N, 3) long-double arrays moved by p_ld, which is p with its
-    # coefficients as long doubles: the same values, but no step converts a
-    # Python float to long double (about 0.6 us per operation).  Sums over
-    # the last axis associate left, and every distance is rounded to double
-    # before it is compared.
-    ld = np.longdouble
-    q = p.quad
-    p_ld = GenericMapParams(
-        ld(p.alpha), ld(p.tau), ld(p.sigma), QuadraticForm2(ld(q.a), ld(q.b), ld(q.c))
-    )
-    x_t = target.location.astype(ld)
-    x_o = other.location.astype(ld)
-    w_u_ld = w_u.astype(ld)
-
-    def distance(pt, c):
-        return np.sqrt(((pt - c) ** 2).sum(axis=-1)).astype(float)
-
-    def escaped(pt):
-        return np.abs(pt).max(axis=-1).astype(float) > escape_lim
-
-    def episode_sides(s):
-        """Sign of the unstable component of each orbit at its first exit from
-        its first close-approach episode; nan when it never comes close."""
-        sides = np.full(len(s), np.nan)
-        rows = np.arange(len(s))  # the entry of sides each lockstep row fills
-        running = np.ones(len(s), dtype=bool)
-        caught = np.zeros(len(s), dtype=bool)
-        pt = r.fix_line(np.asarray(s, dtype=ld))
-        # Finished orbits leave the arrays in blocks of _ROW_BLOCK rows; until
-        # then they are masked.  Dropping them one by one would make arrays of
-        # every length, and numpy keeps freed buffers under 1 KiB for each
-        # length, which stays resident.  A finished orbit is parked at the
-        # target, as special values are slow in x87 arithmetic; nothing reads
-        # it, so if it drifts off and overflows, that is not reported.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(ORBIT_BUDGET):
-                if not len(rows):
-                    break
-                pt = p_ld.step(pt)
-                d = distance(pt, x_t)
-                near = d < CAPTURE_RADIUS
-                gone = running & ~caught & ~near & escaped(pt)
-                out = running & caught & (d > EXIT_RADIUS)
-                if out.any():
-                    proj = ((pt[out] - x_t) @ w_u_ld).astype(float)
-                    sides[rows[out]] = np.where(proj != 0, np.copysign(1.0, proj), np.nan)
-                caught |= near
-                done = gone | out
-                if done.any():
-                    running &= ~done
-                    pt[done] = x_t
-                    n = np.count_nonzero(running)
-                    size = -(-n // _ROW_BLOCK) * _ROW_BLOCK
-                    if size < len(rows):
-                        # the running rows, padded with finished ones
-                        keep = np.argsort(~running, kind="stable")[:size]
-                        rows, running, caught = rows[keep], running[keep], caught[keep]
-                        pt = pt[keep]
-        return sides
-
-    def closest_approach(pt, step, c):
-        """Least distance to c over each orbit's first ORBIT_BUDGET steps,
-        stopping after the step that leaves the escape box."""
-        best = np.full(len(pt), np.inf)
-        live = np.arange(len(best))
-        for _ in range(ORBIT_BUDGET):
-            if not len(live):
-                break
-            pt = step(pt)
-            d = distance(pt, c)
-            best[live] = np.where(d < best[live], d, best[live])
-            gone = escaped(pt)
-            if gone.any():
-                keep = ~gone
-                live = live[keep]
-                pt = pt[keep]
-        return best
-
-    grid = np.linspace(bracket[0], bracket[1], int(samples)).astype(ld)
+    episode_sides, certify = _heteroclinic_stages(p, r)
+    grid = np.linspace(bracket[0], bracket[1], int(samples)).astype(np.longdouble)
     roots = bisect_sign_changes(episode_sides, grid, episode_sides(grid))
-    fwd = closest_approach(r.fix_line(roots), p_ld.step, x_t)
-    bwd = closest_approach(r.fix_line(roots), p_ld.step_back, x_o)
     hits = []
-    for s_root, f, b in zip(roots, fwd, bwd):
+    for s_root, f, b in zip(roots, *certify(roots)):
         if f < HETEROCLINIC_TOL and b < HETEROCLINIC_TOL:
             pt = r.fix_line(s_root).astype(float)
             if not any(np.linalg.norm(pt - h.point) < 1e-7 for h in hits):
-                hits.append(
-                    HeteroclinicPoint(
-                        point=pt,
-                        s=float(s_root),
-                        forward_distance=float(f),
-                        backward_distance=float(b),
-                    )
-                )
+                hits.append(HeteroclinicPoint(pt, float(s_root), float(f), float(b)))
     return hits

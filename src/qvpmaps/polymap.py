@@ -220,6 +220,9 @@ class QuadMap:
         quad = np.asarray(d["quad"], float)
         if const.shape != (n,) or linear.shape != (n, n) or quad.shape != (n, n, n):
             raise DimensionMismatchError("map file fields do not match dim")
+        for name, v in (("const", const), ("linear", linear), ("quad", quad)):
+            if not np.all(np.isfinite(v)):
+                raise MapError(f"map file field {name!r} has a non-finite entry")
         return cls(const, linear, quad)
 
 
@@ -280,15 +283,6 @@ class PolyMap:
         vals = [np.max(np.abs(v)) for e, v in self.terms.items() if sum(e) > deg]
         return max(vals, default=0.0)
 
-    def max_diff(self, other):
-        keys = set(self.terms) | set(other.terms)
-        out = 0.0
-        for k in keys:
-            a = self.terms.get(k, 0.0)
-            b = other.terms.get(k, 0.0)
-            out = max(out, float(np.max(np.abs(np.asarray(a) - np.asarray(b)))))
-        return out
-
     def as_quadmap(self, tol=COMPOSE_TOL):
         """Collapse to a QuadMap if all degree>2 coefficients vanish, else None."""
         scale = max(
@@ -330,20 +324,6 @@ def _poly_mul(p, q):
             e = tuple(a + b for a, b in zip(e1, e2))
             out[e] = out.get(e, 0.0) + c1 * c2
     return out
-
-
-def evaluate(m, x):
-    """Evaluate a map at a point; thin wrapper over m(x)."""
-    return m(np.asarray(x, dtype=float))
-
-
-def m_of(m, x):
-    """The matrix M(x) of the quadratic tensor of ``m``.
-
-    For standard-form maps Df(x) = I + M(x); for general maps this operates
-    on the quadratic tensor alone.
-    """
-    return m.m_of(x)
 
 
 def _basis_matrices(quad):

@@ -62,6 +62,25 @@ def test_parse_error_reports_position(tmp_path):
     assert "line" in cp.stderr
 
 
+@pytest.mark.parametrize(
+    "field, index, token", [("quad", (0, 2, 2), "NaN"), ("linear", (1, 0), "Infinity")]
+)
+def test_non_finite_map_file_is_one_error_line(shear_file, tmp_path, field, index, token):
+    data = json.loads(shear_file.read_text())
+    row = data[field]
+    for i in index[:-1]:
+        row = row[i]
+    row[index[-1]] = "@"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data).replace('"@"', token))
+    out = tmp_path / "rep.json"
+    cp = run_cli("classify", bad, "--out", out)
+    assert cp.returncode == 1
+    lines = cp.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and field in lines[0], cp.stderr
+    assert not out.exists()
+
+
 def test_classify_shear(shear_file, tmp_path):
     out = tmp_path / "report.json"
     cp = run_cli("classify", shear_file, "--out", out)

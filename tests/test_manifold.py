@@ -212,10 +212,12 @@ class TestIntersectAndSymmetry:
         assert checked
 
 
-def scalar_heteroclinic_search(p, r, bracket, samples, capture_radius=0.15,
-                               exit_radius=0.3, conv_tol=1e-6, budget=2500):
-    """Reference: the one-orbit-at-a-time search that the lockstep
-    heteroclinic_from_symmetry replaces, as (point, s, fwd, bwd) tuples."""
+def scalar_heteroclinic_stages(p, r, capture_radius=0.15, exit_radius=0.3, budget=2500):
+    """Reference stages: the one-orbit-at-a-time scan and certification that
+    the lockstep heteroclinic_from_symmetry replaces, stepping (3,) long-double
+    points.  episode(s) gives (side, capture step, exit or escape step) and
+    certify(s) ((forward distance, escape step), (backward distance, escape
+    step)); steps count from 1 and are None for events that do not happen."""
     fps = fixed_points(p)
     target = next(f for f in fps if f.classification == "type_A")
     other = next(f for f in fps if f is not target)
@@ -234,34 +236,45 @@ def scalar_heteroclinic_search(p, r, bracket, samples, capture_radius=0.15,
         s = ld(s)
         return np.array([s, -eta / 2, -eta - s], dtype=ld)
 
-    def episode_side(s):
+    def episode(s):
         pt = line_ld(s)
-        in_episode = False
-        for _ in range(budget):
+        caught = None
+        for n in range(1, budget + 1):
             pt = p.step(pt)
             d = float(np.sqrt(np.sum((pt - x_t) ** 2)))
-            if not in_episode:
+            if caught is None:
                 if d < capture_radius:
-                    in_episode = True
+                    caught = n
                 elif float(np.max(np.abs(pt))) > escape_lim:
-                    return np.nan
+                    return np.nan, None, n
             elif d > exit_radius:
                 proj = float((pt - x_t) @ w_u_ld)
-                return math.copysign(1.0, proj) if proj else np.nan
-        return np.nan
+                return (math.copysign(1.0, proj) if proj else np.nan), caught, n
+        return np.nan, caught, None
 
-    def certified_dists(s):
+    def certify(s):
         dists = []
         for step, centre in ((p.step, x_t), (p.step_back, x_o)):
-            best = np.inf
+            best, escaped = np.inf, None
             pt = line_ld(s)
-            for _ in range(budget):
+            for n in range(1, budget + 1):
                 pt = step(pt)
                 best = min(best, float(np.sqrt(np.sum((pt - centre) ** 2))))
                 if float(np.max(np.abs(pt))) > escape_lim:
+                    escaped = n
                     break
-            dists.append(best)
+            dists.append((best, escaped))
         return dists
+
+    return episode, certify
+
+
+def scalar_heteroclinic_search(p, r, bracket, samples, conv_tol=1e-6):
+    """Reference: the one-orbit-at-a-time search that the lockstep
+    heteroclinic_from_symmetry replaces, as (point, s, fwd, bwd) tuples."""
+    episode, certify = scalar_heteroclinic_stages(p, r)
+    ld = np.longdouble
+    eta = ld(r.eta)
 
     def bisect(lo, hi, flo, iters=160):
         lo, hi = ld(lo), ld(hi)
@@ -269,7 +282,7 @@ def scalar_heteroclinic_search(p, r, bracket, samples, capture_radius=0.15,
             mid = (lo + hi) / 2
             if mid == lo or mid == hi:
                 break
-            fmid = episode_side(mid)
+            fmid = episode(mid)[0]
             if not np.isfinite(fmid):
                 hi = mid
                 continue
@@ -280,16 +293,16 @@ def scalar_heteroclinic_search(p, r, bracket, samples, capture_radius=0.15,
         return (lo + hi) / 2
 
     grid = np.linspace(bracket[0], bracket[1], int(samples))
-    sides = [episode_side(s) for s in grid]
+    sides = [episode(s)[0] for s in grid]
     hits = []
     for i in range(len(grid) - 1):
         a, b = sides[i], sides[i + 1]
         if not (np.isfinite(a) and np.isfinite(b)) or a == b:
             continue
         s_root = bisect(grid[i], grid[i + 1], a)
-        fwd, bwd = certified_dists(s_root)
+        (fwd, _), (bwd, _) = certify(s_root)
         if fwd < conv_tol and bwd < conv_tol:
-            pt = np.asarray(line_ld(s_root), dtype=float)
+            pt = np.array([s_root, -eta / 2, -eta - s_root], dtype=ld).astype(float)
             if not any(np.linalg.norm(pt - h[0]) < 1e-7 for h in hits):
                 hits.append((pt, float(s_root), fwd, bwd))
     return hits
@@ -333,6 +346,63 @@ class TestHeteroclinicLockstep:
     def test_empty_grid(self, fig2):
         p, _ = fig2
         assert heteroclinic_from_symmetry(p, reversor_for(p), (-0.2, -0.05), samples=1) == []
+
+
+# The chunked kernel at its edges: a budget that is no multiple of the chunk
+# length, captures carried into the next chunk or (with long chunks) exits in
+# the chunk of the capture, orbits that escape before any capture or time
+# out, and certification orbits that escape mid-chunk and are stepped on to
+# the chunk's end (the indefinite Q escapes at |x| > 1e6, from where a dozen
+# squarings overflow long double).
+EDGE_BUDGET = 251
+EDGE_MAPS = [
+    ((0.0, -0.3, 0.0, 0.5, 0.0, 0.5), (-0.35, 0.45)),
+    ((0.05, -0.4, 0.1, 0.45, 0.1, 0.45), (-0.5, 0.5)),
+    ((0.0, -0.3, 0.0, -0.5, 2.0, -0.5), (-1.0, 1.0)),
+]
+
+
+@pytest.fixture(scope="module")
+def edge_reference():
+    """Per map: (p, h, s values, episode results, certification results) of
+    the scalar stages at EDGE_BUDGET steps."""
+    out = []
+    for args, bracket in EDGE_MAPS:
+        p = GenericMapParams.make(*args)
+        h = reversor_for(p)
+        episode, certify = scalar_heteroclinic_stages(p, h, budget=EDGE_BUDGET)
+        s = np.linspace(*bracket, 41).astype(np.longdouble)
+        out.append((p, h, s, [episode(x) for x in s], [certify(x) for x in s]))
+    return out
+
+
+class TestHeteroclinicChunkEdges:
+    @pytest.mark.parametrize("chunk", [manifold._CHUNK, 5, 64])
+    def test_sides_and_distances_bitwise(self, monkeypatch, edge_reference, chunk):
+        assert EDGE_BUDGET % chunk
+        monkeypatch.setattr(manifold, "ORBIT_BUDGET", EDGE_BUDGET)
+        monkeypatch.setattr(manifold, "_CHUNK", chunk)
+        seen = set()
+        for p, h, s, episodes, certs in edge_reference:
+            sides, certify = manifold._heteroclinic_stages(p, h)
+            assert same_bits(sides(s), [e[0] for e in episodes])
+            for got, want in zip(certify(s), zip(*certs)):
+                assert same_bits(got, [w[0] for w in want])
+            for _, caught, end in episodes:
+                if caught and end:
+                    seen.add("exit, same chunk" if (caught - 1) // chunk == (end - 1) // chunk
+                             else "exit, later chunk")
+                seen.add("time out" if end is None else "escape" if caught is None else "exit")
+            for _, escaped in (c for pair in certs for c in pair):
+                if escaped is None:
+                    seen.add("certification time out")
+                elif escaped % chunk:  # stepped on after the escape
+                    seen.add("certification escape")
+        want = {"exit", "exit, later chunk", "time out", "escape",
+                "certification time out", "certification escape"}
+        if chunk == 64:
+            want.add("exit, same chunk")
+        assert want <= seen
 
 
 # Scalar references: the one-pair, one-row-at-a-time mesh layer that the
