@@ -58,6 +58,11 @@ class GenericMapParams:
 
     @classmethod
     def make(cls, alpha, tau, sigma=0.0, a=0.5, b=0.0, c=0.5):
+        """Parameters from six numbers, which must all be finite."""
+        named = dict(alpha=alpha, tau=tau, sigma=sigma, a=a, b=b, c=c)
+        bad = [k for k, v in named.items() if not math.isfinite(float(v))]
+        if bad:
+            raise DynamicsError(f"parameter {', '.join(bad)} is not a finite number")
         return cls(float(alpha), float(tau), float(sigma), QuadraticForm2(a, b, c))
 
     def coeff_sum(self):
@@ -143,25 +148,32 @@ def _cubic_roots(t, s):
     done = np.abs(_cubic(t, s, r)) <= accept
     done &= np.abs(3 * r * r - 2 * t * r + s) <= accept
     lam[done] = r[done, None]
-    # double root: a real zero of p' with p ~ 0 there
+    # double root: a real zero of p' with p ~ 0 there.  Each stage below is
+    # skipped when it has no rows, which keeps a single call cheap.
     disc = t * t - 3.0 * s
     crit = ~done & (disc >= 0.0)
-    sq = np.sqrt(np.where(crit, disc, 0.0))
-    for r in ((t + sq) / 3.0, (t - sq) / 3.0):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            q = 1.0 / (r * r)
-            ok = crit & ~done & (np.abs(r) > 1e-12) & (np.abs(_cubic(t, s, r)) <= accept)
-            ok &= np.abs(2 * r + q - t) <= 1e-6 * (1 + np.abs(t))
-            ok &= np.abs(r * r + 2.0 / r - s) <= 1e-6 * (1 + np.abs(s))
-        lam[ok] = np.column_stack([r, r, q])[ok]
-        done |= ok
-    comp = np.zeros((np.count_nonzero(~done), 3, 3))
-    comp[:, 0, 0], comp[:, 0, 1], comp[:, 0, 2] = t[~done], -s[~done], 1.0
+    if crit.any():
+        sq = np.sqrt(np.where(crit, disc, 0.0))
+        for r in ((t + sq) / 3.0, (t - sq) / 3.0):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                q = 1.0 / (r * r)
+                ok = crit & ~done & (np.abs(r) > 1e-12) & (np.abs(_cubic(t, s, r)) <= accept)
+                ok &= np.abs(2 * r + q - t) <= 1e-6 * (1 + np.abs(t))
+                ok &= np.abs(r * r + 2.0 / r - s) <= 1e-6 * (1 + np.abs(s))
+            lam[ok] = np.column_stack([r, r, q])[ok]
+            done |= ok
+    rest = ~done
+    if not rest.any():
+        return lam
+    comp = np.zeros((np.count_nonzero(rest), 3, 3))
+    comp[:, 0, 0], comp[:, 0, 1], comp[:, 0, 2] = t[rest], -s[rest], 1.0
     comp[:, 1, 0] = comp[:, 2, 1] = 1.0
-    t, s = t[~done, None], s[~done, None]
+    t, s = t[rest, None], s[rest, None]
     eig = np.linalg.eigvals(comp).astype(complex)
     real = ~np.any(eig.imag, axis=1)
     for rows, z in ((real, eig.real), (~real, eig)):
+        if not rows.any():
+            continue
         z, tr, sr = z[rows], t[rows], s[rows]
         for _ in range(2):
             p = z**3 - tr * z**2 + sr * z - 1.0
@@ -169,7 +181,7 @@ def _cubic_roots(t, s):
             safe = np.abs(dp) > 1e-8
             z = np.where(safe, z - p / np.where(safe, dp, 1.0), z)
         eig[rows] = z
-    lam[~done] = eig
+    lam[rest] = eig
     return lam
 
 

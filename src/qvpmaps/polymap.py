@@ -49,6 +49,19 @@ def _freeze(a):
     return a
 
 
+def _points(x, dim):
+    """x as a float array of points along its last axis, which must be dim long.
+
+    The maps evaluate ``(linear @ x[..., None])[..., 0]`` and the einsum over
+    ``...j, ...k``: on a stack these give each row bitwise what the row alone
+    gives, where ``x @ linear.T`` would not.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (dim,):
+        raise DimensionMismatchError(f"point has shape {x.shape}, map has dimension {dim}")
+    return x
+
+
 @dataclass(frozen=True)
 class AffineMap:
     """x -> linear @ x + const."""
@@ -75,8 +88,9 @@ class AffineMap:
         return self.const.shape[0]
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.linear @ x + self.const
+        """The image of a point, or of each point of an (..., n) stack."""
+        x = _points(x, self.dim)
+        return (self.linear @ x[..., None])[..., 0] + self.const
 
     def det(self):
         return float(np.linalg.det(self.linear))
@@ -147,13 +161,10 @@ class QuadMap:
         return self.const.shape[0]
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise DimensionMismatchError(
-                f"point has shape {x.shape}, map has dimension {self.dim}"
-            )
-        return self.const + self.linear @ x + 0.5 * np.einsum(
-            "ijk,j,k->i", self.quad, x, x
+        """The image of a point, or of each point of an (..., n) stack."""
+        x = _points(x, self.dim)
+        return self.const + (self.linear @ x[..., None])[..., 0] + 0.5 * np.einsum(
+            "ijk,...j,...k->...i", self.quad, x, x
         )
 
     def m_of(self, x):

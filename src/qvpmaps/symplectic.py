@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polymap import AffineMap, MapError, QuadMap
+from .polymap import AffineMap, MapError, QuadMap, _basis_matrices
 
 KERNEL_RTOL = 1e-8
 
@@ -57,17 +57,13 @@ def _context_for(m, ctx):
     return SymplecticContext(m.dim // 2)
 
 
-def _m_basis(quad):
-    n = quad.shape[0]
-    return [quad[:, :, k] for k in range(n)]
-
-
 def is_symplectic(m, ctx=None, tol=1e-9):
     """Df(x)^T J Df(x) == J identically, expanded by polynomial degree.
 
     Degree 0 is L^T J L = J; degree 1 gives L^T J M_k + M_k^T J L = 0 for
     every basis matrix M_k; degree 2 gives the symmetrized products
-    M_k^T J M_l + M_l^T J M_k = 0.
+    M_k^T J M_l + M_l^T J M_k = 0.  Each degree's terms are one stacked
+    product over the M_k, and each term's max is held to its threshold.
     """
     ctx = _context_for(m, ctx)
     J = ctx.J
@@ -75,30 +71,29 @@ def is_symplectic(m, ctx=None, tol=1e-9):
     scale = max(1.0, float(np.max(np.abs(L))) ** 2)
     if np.max(np.abs(L.T @ J @ L - J)) > tol * scale:
         return False
-    mats = _m_basis(m.quad)
-    mscale = max(1.0, max((float(np.max(np.abs(M))) for M in mats), default=0.0))
-    for Mk in mats:
-        if np.max(np.abs(L.T @ J @ Mk + Mk.T @ J @ L)) > tol * mscale * max(
-            1.0, float(np.max(np.abs(L)))
-        ):
-            return False
-    for i, Mi in enumerate(mats):
-        for Mj in mats[i:]:
-            if np.max(np.abs(Mi.T @ J @ Mj + Mj.T @ J @ Mi)) > tol * mscale**2:
-                return False
-    return True
+    # mats[k] is the view quad[:, :, k], so each slice of a stacked product
+    # runs the kernel that slice alone runs and every term keeps its bits
+    mats = np.moveaxis(m.quad, 2, 0)
+    mscale = max(1.0, float(np.max(np.abs(mats), initial=0.0)))
+    mt_j = mats.transpose(0, 2, 1) @ J
+    deg1 = L.T @ J @ mats + mt_j @ L
+    lmax = max(1.0, float(np.max(np.abs(L))))
+    if np.any(np.max(np.abs(deg1), axis=(1, 2)) > tol * mscale * lmax):
+        return False
+    prods = mt_j[:, None] @ mats[None]
+    i, j = np.triu_indices(len(mats))
+    deg2 = prods[i, j] + prods[j, i]
+    return not np.any(np.max(np.abs(deg2), axis=(1, 2)) > tol * mscale**2)
 
 
 def shear_square_residual(quad):
-    """Max coefficient of the symbolic M(x)^2, via symmetrized pair products."""
-    mats = _m_basis(quad)
-    scale = max(1e-300, max(float(np.max(np.abs(M))) for M in mats))
-    mats = [M / scale for M in mats]
-    worst = 0.0
-    for i, Mi in enumerate(mats):
-        for Mj in mats[i:]:
-            worst = max(worst, float(np.max(np.abs(Mi @ Mj + Mj @ Mi))) / 2)
-    return worst
+    """Max coefficient of the symbolic M(x)^2, via the symmetrized pair
+    products M_i M_j + M_j M_i of the unit-scaled basis, formed as one stacked
+    product; NaN if any coefficient is."""
+    mats = _basis_matrices(quad)
+    prods = mats[:, None] @ mats[None]
+    i, j = np.triu_indices(len(mats))
+    return float(np.max(np.abs(prods[i, j] + prods[j, i]), initial=0.0)) / 2
 
 
 def symplectic_decompose(m, ctx=None, tol=1e-9):
@@ -109,7 +104,7 @@ def symplectic_decompose(m, ctx=None, tol=1e-9):
         raise SymplecticError("map is not symplectic")
     T, S = m.standard_part()
     res = shear_square_residual(S.quad)
-    if res > tol:
+    if not res <= tol:
         raise SymplecticError(
             f"standard part violates M(x)^2 == 0 (residual {res:.3g})"
         )
@@ -152,8 +147,8 @@ class GradientShearForm:
         return QuadMap.standard_form(quad)
 
 
-def _common_kernel(mats, rtol=KERNEL_RTOL):
-    stacked = np.vstack(mats)
+def _common_kernel(stacked, rtol=KERNEL_RTOL):
+    """Basis of the common null space of the matrices stacked as rows."""
     u, s, vt = np.linalg.svd(stacked)
     if s.size == 0 or s[0] == 0.0:
         return np.eye(stacked.shape[1])
@@ -261,7 +256,7 @@ def shear_to_gradient_form(S, ctx=None, tol=1e-9):
     if not S.is_standard_form(1e-9):
         raise SymplecticError("gradient-form reduction expects a standard-form shear")
     res = shear_square_residual(S.quad)
-    if res > tol:
+    if not res <= tol:
         raise SymplecticError(f"not a shear: M(x)^2 residual {res:.3g}")
 
     if _is_gradient_form(S, n):
@@ -269,9 +264,8 @@ def shear_to_gradient_form(S, ctx=None, tol=1e-9):
         bcoef = 0.5 * (bcoef + bcoef.transpose(0, 2, 1))
         return GradientShearForm(bcoef, np.eye(2 * n))
 
-    mats = _m_basis(S.quad)
-    scale = max(1e-300, max(float(np.max(np.abs(M))) for M in mats))
-    nspace = _common_kernel([M / scale for M in mats])
+    scale = max(1e-300, float(np.max(np.abs(S.quad))))
+    nspace = _common_kernel(np.moveaxis(S.quad, 2, 0).reshape(-1, 2 * n) / scale)
     nperp = _omega_complement(nspace, J)
     violation = _subspace_residual(nperp, nspace)
     if violation > 1e-7:

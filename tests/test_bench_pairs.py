@@ -66,3 +66,25 @@ def test_no_pairs_is_an_error(tmp_path, capsys):
     write(tmp_path, "figures.1.parent.out", run_output(3.0, 2.0), 1)
     assert bench_pairs.main([str(tmp_path), "--description", "d"]) == 1
     assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+
+
+def claim(tmp_path, walls):
+    """claim_holds of wall_s over pairs of (parent, change) walls."""
+    for seed, (parent, change) in enumerate(walls, 1):
+        write(tmp_path, f"figures.{seed}.parent.out", run_output(parent, 1.0), 2 * seed)
+        write(tmp_path, f"figures.{seed}.change.out", run_output(change, 1.0), 2 * seed + 1)
+    return bench_pairs.build(str(tmp_path), "d")["summary"]["figures"]["wall_s"]["claim_holds"]
+
+
+@pytest.mark.parametrize("walls, holds", [
+    # nine wins in ten, median gap 0.335 against the parent's q3 - q1 of 0.045
+    ([(3.0 + 0.01 * i, 2.7) for i in range(9)] + [(3.0, 3.1)], True),
+    # the same rule over 9 pairs: too few
+    ([(3.0 + 0.01 * i, 2.7) for i in range(9)], False),
+    # eight wins in ten
+    ([(3.0 + 0.01 * i, 2.7) for i in range(8)] + [(3.0, 3.1), (3.0, 3.0)], False),
+    # ten wins, but the gap 0.1 is inside the parent's spread (q3 - q1 = 0.45)
+    ([(2.5 + 0.1 * i, 2.5 + 0.1 * i - 0.1) for i in range(10)], False),
+])
+def test_claim_holds(tmp_path, walls, holds):
+    assert claim(tmp_path, walls) is holds

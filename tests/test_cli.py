@@ -81,6 +81,23 @@ def test_non_finite_map_file_is_one_error_line(shear_file, tmp_path, field, inde
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["flags", "params", "heteroclinic"])
+def test_non_finite_parameters_are_one_error_line(tmp_path, source):
+    argv = {
+        "flags": ["fixed-points", "--alpha", "nan", "--tau", "0"],
+        "params": ["fixed-points", "--params", tmp_path / "nf.json"],
+        "heteroclinic": ["symmetric", "--alpha", "nan", "--tau", "-0.3", "--heteroclinic"],
+    }[source]
+    (tmp_path / "nf.json").write_text(
+        '{"generic": {"alpha": NaN, "tau": 0.0, "a": 0.5, "b": 0.0, "c": 0.5}}'
+    )
+    cp = run_cli(*argv, "--out", tmp_path / "out.csv")
+    assert cp.returncode == 1
+    lines = cp.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "alpha" in lines[0], cp.stderr
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_classify_shear(shear_file, tmp_path):
     out = tmp_path / "report.json"
     cp = run_cli("classify", shear_file, "--out", out)

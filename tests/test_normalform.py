@@ -13,11 +13,14 @@ from qvpmaps import (
     to_normal_form,
     z_dimension,
 )
+from qvpmaps import normalform
 from qvpmaps.normalform import (
     NormalFormError,
     NotAShearError,
+    _oracle_points,
     conjugacy_residual,
 )
+from qvpmaps.polymap import DimensionMismatchError
 from util import random_case_map, random_shear_data, random_vp_map
 
 
@@ -256,3 +259,141 @@ class TestReduceGeneric:
         nf = reduce_generic(to_normal_form(f))
         assert nf.generic is None
         assert nf.diagnostics["nongeneric"] == "translation"
+
+
+def _ref_affine(m, x):
+    return m.linear @ x + m.const
+
+
+def _ref_quad(m, x):
+    return m.const + m.linear @ x + 0.5 * np.einsum("ijk,j,k->i", m.quad, x, x)
+
+
+def _ref_conjugacy_residual(f, conj, nf_map, n_points=20):
+    """The oracle one sample point at a time, each map applied to one vector."""
+    inv = conj.inverse()
+    worst = 0.0
+    for x in _oracle_points(n_points, f.dim):
+        r = _ref_affine(inv, _ref_quad(f, _ref_affine(conj, x))) - _ref_quad(nf_map, x)
+        worst = max(worst, float(np.max(np.abs(r))))
+    return worst
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _signed_zeros(rng, a):
+    """a with about half its entries -0.0, symmetric in the last two axes of a tensor."""
+    mask = rng.random(np.shape(a)) < 0.5
+    if np.ndim(a) == 3:
+        mask = mask | mask.transpose(0, 2, 1)
+    return np.where(mask, -0.0, a)
+
+
+def _scaled(m, k):
+    return QuadMap(k * m.const, k * m.linear, k * m.quad)
+
+
+class TestOracleParity:
+    """The stacked oracle and stacked map calls equal the per-point loop bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_stacked_calls_match_rows(self, n):
+        rng = np.random.default_rng(200 + n)
+        for _ in range(20):
+            quad = rng.standard_normal((n, n, n))
+            f = QuadMap(rng.standard_normal(n), rng.standard_normal((n, n)),
+                        quad + quad.transpose(0, 2, 1))
+            T = AffineMap(rng.standard_normal((n, n)), rng.standard_normal(n))
+            for k in (1.0, 1e-200, 1e150):
+                X = _signed_zeros(rng, k * rng.standard_normal((int(rng.integers(1, 40)), n)))
+                for m, ref in ((f, _ref_quad), (T, _ref_affine)):
+                    rows = np.array([ref(m, x) for x in X])
+                    assert all(_same_bits(m(x), ref(m, x)) for x in X)
+                    assert _same_bits(m(X), rows)
+                    assert _same_bits(m(X.reshape(1, -1, n)), rows[None])
+                    assert _same_bits(m(X[:0]), np.empty((0, n)))
+
+    @pytest.mark.parametrize("bad", [(4,), (5, 4), (3, 2, 2), ()])
+    def test_wrong_last_axis_raises(self, bad):
+        f = QuadMap.identity(3)
+        for m in (f, AffineMap.identity(3)):
+            with pytest.raises(DimensionMismatchError):
+                m(np.zeros(bad))
+
+    def test_normal_form_cases(self, monkeypatch):
+        calls = []
+
+        def checked(f, conj, nf_map, n_points=20):
+            res = conjugacy_residual(f, conj, nf_map, n_points)
+            assert res == _ref_conjugacy_residual(f, conj, nf_map, n_points)
+            calls.append(res)
+            return res
+
+        monkeypatch.setattr(normalform, "conjugacy_residual", checked)
+        rng = np.random.default_rng(210)
+        for case, tag in ((3, "I"), (2, "II"), (1, "III")):
+            for _ in range(10):
+                f, *_ = random_case_map(rng, case)
+                nf = to_normal_form(f)
+                assert nf.case == tag
+                if tag == "I":
+                    red = reduce_generic(nf)
+                    assert red.diagnostics["generic_oracle_residual"] == calls[-1]
+        assert len(calls) == 40
+
+    def test_signed_zeros_and_scales(self):
+        rng = np.random.default_rng(211)
+        for case in (3, 2, 1):
+            for _ in range(5):
+                f, *_ = random_case_map(rng, case)
+                nf = to_normal_form(f)
+                g = nf.normal_map
+                zeros = QuadMap(*(_signed_zeros(rng, a) for a in (g.const, g.linear, g.quad)))
+                for k in (1.0, 1e-200, 1e150):
+                    for ff, gg in ((f, g), (_scaled(f, k), _scaled(g, k)), (f, zeros)):
+                        ref = _ref_conjugacy_residual(ff, nf.conjugacy, gg)
+                        assert np.isfinite(ref)
+                        assert conjugacy_residual(ff, nf.conjugacy, gg) == ref
+
+    def test_property(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        hnp = pytest.importorskip("hypothesis.extra.numpy")
+        coeff = st.floats(-1e3, 1e3, allow_nan=False)
+
+        def arrays(shape, elements=coeff):
+            return hnp.arrays(float, shape, elements=elements)
+
+        # I + E with |E_ij| <= 0.3 is strictly diagonally dominant, so invertible
+        conj = st.builds(lambda L, b: AffineMap(np.eye(3) + L, b),
+                         arrays((3, 3), st.floats(-0.3, 0.3)), arrays(3))
+        maps = st.builds(lambda b, L, A: QuadMap(b, L, A + A.transpose(0, 2, 1)),
+                         arrays(3), arrays((3, 3)), arrays((3, 3, 3)))
+
+        @hyp.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @hyp.given(maps, conj, maps, st.integers(0, 30))
+        def check(f, c, g, n_points):
+            ref = _ref_conjugacy_residual(f, c, g, n_points)
+            assert conjugacy_residual(f, c, g, n_points) == ref
+
+        check()
+
+
+class TestOracleNaN:
+    """A NaN residual is refused, not certified."""
+
+    def test_nan_at_the_samples_propagates(self):
+        f = eq5_map(0.25, -0.7, 0.2, 0.6, -0.1, 0.5)
+        g = QuadMap(np.array([0.25, np.nan, 0.0]), f.linear, f.quad)
+        assert np.isnan(conjugacy_residual(f, AffineMap.identity(3), g))
+
+    def test_nan_residual_is_refused(self, monkeypatch):
+        f = eq5_map(0.3, 0.8, 1.0, 0.0, 0.0, 1.0)
+        nf = to_normal_form(f)
+        monkeypatch.setattr(normalform, "conjugacy_residual", lambda *a, **k: float("nan"))
+        with pytest.raises(NormalFormError, match="residual nan"):
+            to_normal_form(f)
+        with pytest.raises(NormalFormError, match="residual nan"):
+            reduce_generic(nf)

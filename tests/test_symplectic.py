@@ -9,6 +9,7 @@ from qvpmaps import (
     shear_to_gradient_form,
     symplectic_decompose,
 )
+from qvpmaps import symplectic
 from qvpmaps.symplectic import (
     SymplecticError,
     shear_square_residual,
@@ -186,3 +187,139 @@ class TestGradientForm:
         J = standard_j(n)
         assert np.max(np.abs(F.T @ J @ F)) < 1e-10
         assert np.linalg.matrix_rank(F) == n
+
+
+def _ref_is_symplectic(m, tol=1e-9):
+    """The degree-by-degree identities one basis matrix or pair at a time."""
+    J = standard_j(m.dim // 2)
+    L = m.linear
+    scale = max(1.0, float(np.max(np.abs(L))) ** 2)
+    if np.max(np.abs(L.T @ J @ L - J)) > tol * scale:
+        return False
+    mats = [m.quad[:, :, k] for k in range(m.dim)]
+    mscale = max(1.0, max((float(np.max(np.abs(M))) for M in mats), default=0.0))
+    for Mk in mats:
+        if np.max(np.abs(L.T @ J @ Mk + Mk.T @ J @ L)) > tol * mscale * max(
+            1.0, float(np.max(np.abs(L)))
+        ):
+            return False
+    for i, Mi in enumerate(mats):
+        for Mj in mats[i:]:
+            if np.max(np.abs(Mi.T @ J @ Mj + Mj.T @ J @ Mi)) > tol * mscale**2:
+                return False
+    return True
+
+
+def _ref_shear_square_residual(quad):
+    """M_i M_j + M_j M_i one pair at a time, for a tensor without NaN."""
+    mats = [quad[:, :, k] for k in range(quad.shape[0])]
+    scale = max(1e-300, max(float(np.max(np.abs(M))) for M in mats))
+    mats = [M / scale for M in mats]
+    worst = 0.0
+    for i, Mi in enumerate(mats):
+        for Mj in mats[i:]:
+            worst = max(worst, float(np.max(np.abs(Mi @ Mj + Mj @ Mi))) / 2)
+    return worst
+
+
+def _sym_noise(rng, shape):
+    E = rng.standard_normal(shape)
+    return E + E.transpose(0, 2, 1)
+
+
+def _signed_zeros(rng, quad):
+    mask = rng.random(quad.shape) < 0.5
+    return np.where(mask | mask.transpose(0, 2, 1), -0.0, quad)
+
+
+def _variants(rng, f):
+    """f, its standard part, signed zeros, extreme scales and perturbations."""
+    n = f.dim
+    S = f.standard_part()[1]
+    yield f
+    yield S
+    yield QuadMap(f.const, f.linear, _signed_zeros(rng, f.quad))
+    for k in (1e-200, 1e150):
+        yield QuadMap(f.const, f.linear, k * f.quad)
+        yield QuadMap.standard_form(k * S.quad)
+    bumped = np.array(f.quad)
+    bumped[0, n - 1, n - 1] += 1e-3
+    yield QuadMap(f.const, f.linear, bumped)  # degree-2 terms fail
+    yield QuadMap(f.const, f.linear, f.quad + 1e-12 * _sym_noise(rng, f.quad.shape))
+    yield QuadMap(f.const, f.linear * (1 + 1e-6), f.quad)  # degree 0 fails
+
+
+def _assert_match_reference(m):
+    assert is_symplectic(m) == _ref_is_symplectic(m)
+    assert shear_square_residual(m.quad) == _ref_shear_square_residual(m.quad)
+
+
+class TestIdentityParity:
+    """The stacked pair products decide and measure as the pair loops do, bit for bit."""
+
+    @pytest.mark.parametrize("half_dim", [1, 2, 3])
+    def test_util_maps(self, half_dim):
+        rng = np.random.default_rng(300 + half_dim)
+        verdicts = []
+        for _ in range(10):
+            f, *_ = random_symplectic_quadmap(rng, half_dim)
+            S = random_gradient_shear(rng, half_dim)
+            G = random_linear_symplectic(rng, half_dim)
+            conjugated = S.conjugate(AffineMap(G, np.zeros(2 * half_dim)))
+            for g in (f, conjugated):
+                for m in _variants(rng, g):
+                    _assert_match_reference(m)
+                    verdicts.append(is_symplectic(m))
+        assert any(verdicts) and not all(verdicts)
+
+    def test_degree_one_failure(self):
+        # q1' = q1 + q1 p1: the degree-1 terms L^T J M_k + M_k^T J L fail
+        quad = np.zeros((4, 4, 4))
+        quad[0, 0, 2] = quad[0, 2, 0] = 1.0
+        m = QuadMap.standard_form(quad)
+        _assert_match_reference(m)
+        assert not is_symplectic(m)
+
+    def test_property(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        hnp = pytest.importorskip("hypothesis.extra.numpy")
+        coeff = st.floats(-1e3, 1e3, allow_nan=False)
+        tensors = st.sampled_from([2, 4, 6]).flatmap(
+            lambda n: hnp.arrays(float, (n, n, n), elements=coeff)
+        )
+
+        @hyp.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @hyp.given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.sampled_from([0.0, 1e-9, 1e-3]))
+        def symplectic_maps(seed, half_dim, eps):
+            rng = np.random.default_rng(seed)
+            f, *_ = random_symplectic_quadmap(rng, half_dim)
+            _assert_match_reference(
+                QuadMap(f.const, f.linear, f.quad + eps * _sym_noise(rng, f.quad.shape))
+            )
+
+        @hyp.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @hyp.given(tensors)
+        def any_tensor(quad):
+            _assert_match_reference(QuadMap.standard_form(quad + quad.transpose(0, 2, 1)))
+
+        symplectic_maps()
+        any_tensor()
+
+
+class TestShearNaN:
+    """A NaN M(x)^2 residual is refused, not certified."""
+
+    def test_nan_in_a_later_pair_propagates(self):
+        quad = np.zeros((4, 4, 4))
+        quad[0, 3, 3] = np.nan
+        assert np.isnan(shear_square_residual(quad))
+
+    def test_nan_residual_is_refused(self, monkeypatch):
+        rng = np.random.default_rng(310)
+        f, G, b, S = random_symplectic_quadmap(rng, 2)
+        monkeypatch.setattr(symplectic, "shear_square_residual", lambda quad: float("nan"))
+        with pytest.raises(SymplecticError, match="residual nan"):
+            symplectic_decompose(f)
+        with pytest.raises(SymplecticError, match="residual nan"):
+            shear_to_gradient_form(S)

@@ -9,8 +9,14 @@ named ``W.N.SIDE.out`` for ``--trace 0`` and ``W.N.SIDE.trace.out`` for
 ``--trace 1``, where SIDE is ``parent`` or ``change``.  Untraced runs of the
 same workload and seed on both sides form a pair; the side whose file was
 last written first ran first.  A traced pair gives the workload's per-layer
-rows.  Timings are lower-is-better; quartiles interpolate linearly between
-order statistics, as perfbench/stats.py does.  Standard library only.
+rows.  Every summarised metric is lower-is-better; quartiles interpolate
+linearly between order statistics, as perfbench/stats.py does.  Standard
+library only.
+
+Each summarised metric gets ``claim_holds``: true only when there are at
+least MIN_PAIRS pairs, the change is better in at least nine tenths of them
+(ties count for neither side), and the parent's median exceeds the change's
+by more than the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -27,6 +33,13 @@ COMMAND = ("python3 perfbench/run.py --workload W --seed N --seconds 55 --trace 
            "from a fresh checkout of each commit; pairs alternate which side runs first")
 #: Untraced metrics summarised per workload, when the runs print them.
 SUMMARY = ("wall_s", "setup_s", "peak_rss_mib", "op_p50_ms", "op_tail_ms")
+#: The gain rule: at least this many pairs ...
+MIN_PAIRS = 10
+#: ... of which the change wins at least WINS[0] in WINS[1].
+WINS = (9, 10)
+CLAIM_RULE = (f"at least {MIN_PAIRS} pairs, the change better in at least "
+              f"{WINS[0]}/{WINS[1]} of them (ties count for neither), and the median "
+              "gap larger than the parent's q3 - q1")
 NAME = re.compile(r"^(?P<workload>[\w-]+)\.(?P<seed>\d+)\.(?P<side>parent|change)"
                   r"(?P<trace>\.trace)?\.out$")
 
@@ -100,6 +113,7 @@ def build(run_dir, description):
         "quartiles": "linear interpolation between order statistics "
                      "(perfbench/stats.py percentile)",
         "host": host,
+        "claim_rule": CLAIM_RULE,
         "summary": {},
         "figures_parts": {},
         "runs": {},
@@ -130,11 +144,16 @@ def build(run_dir, description):
             if not all(metric in r[s] for r in rows for s in SIDES):
                 continue
             both = {s: spread([r[s][metric] for r in rows]) for s in SIDES}
+            better = sum(r["change"][metric] < r["parent"][metric] for r in rows)
+            parent = both["parent"]
             summary[metric] = {
                 **both,
-                "change_better_pairs": sum(r["change"][metric] < r["parent"][metric] for r in rows),
+                "change_better_pairs": better,
                 "change_worse_pairs": sum(r["change"][metric] > r["parent"][metric] for r in rows),
-                "median_ratio": both["change"]["median"] / both["parent"]["median"],
+                "median_ratio": both["change"]["median"] / parent["median"],
+                "claim_holds": (len(rows) >= MIN_PAIRS and better * WINS[1] >= WINS[0] * len(rows)
+                                and parent["median"] - both["change"]["median"]
+                                > parent["q3"] - parent["q1"]),
             }
         if workload == "figures":
             out["figures_parts"] = {
