@@ -68,8 +68,9 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
+#: Rows per % call in _body; one call per file holds every value of the
+#: file and its template at once, and its peak memory showed.
+_FORMAT_BLOCK = 1024
 
 
 def _atomic_write(path, text):
@@ -104,14 +105,33 @@ def _meta(args, keys):
     return meta
 
 
-def _csv_text(meta, header, rows):
-    lines = [f"# {k} = {v}" for k, v in sorted(meta.items())]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(
-            ",".join(_fmt(c) if isinstance(c, (int, float, np.floating)) else str(c) for c in row)
-        )
-    return "\n".join(lines) + "\n"
+def _body(line, columns):
+    """`line % row` for each row of columns, each ended by a newline, with
+    one % call per _FORMAT_BLOCK rows; columns are equal-length 1-D arrays
+    (or the rows of one 2-D array)."""
+    m, n = len(columns), len(columns[0])
+    blocks = []
+    for lo in range(0, n, _FORMAT_BLOCK):
+        k = min(_FORMAT_BLOCK, n - lo)
+        values = [None] * (k * m)
+        for c, col in enumerate(columns):
+            values[c::m] = col[lo:lo + k].tolist()
+        blocks.append("\n".join([line] * k) % tuple(values) + "\n")
+    return "".join(blocks)
+
+
+def _csv_text(meta, header, columns):
+    """CSV text: `# key = value` lines for meta in key order, the header, and
+    one row per index of the columns (equal-length sequences).
+
+    A column of bools, integers or floats is written cell by cell as
+    format(float(x), ".17g") (by "%.17g", which gives the same text), any
+    other column as str(x).
+    """
+    columns = [np.asarray(c) for c in columns]
+    line = ",".join("%.17g" if a.dtype.kind in "biuf" else "%s" for a in columns)
+    head = "".join(f"# {k} = {v}\n" for k, v in sorted(meta.items()))
+    return head + ",".join(header) + "\n" + _body(line, columns)
 
 
 def _load_map(path):
@@ -257,26 +277,12 @@ def cmd_normal_form(args):
 def cmd_fixed_points(args):
     p = _params_from_args(args)
     fps = fixed_points(p)
-    rows = []
-    for fp in fps:
-        lam = fp.eigenvalues
-        rows.append(
-            [
-                fp.which,
-                fp.location[0],
-                fp.location[1],
-                fp.location[2],
-                fp.t,
-                fp.s,
-                lam[0].real,
-                lam[0].imag,
-                lam[1].real,
-                lam[1].imag,
-                lam[2].real,
-                lam[2].imag,
-                fp.classification,
-            ]
-        )
+    loc = np.reshape([fp.location for fp in fps], (-1, 3))
+    lam = np.reshape([fp.eigenvalues for fp in fps], (-1, 3))
+    columns = [[fp.which for fp in fps], *loc.T, [fp.t for fp in fps], [fp.s for fp in fps]]
+    for k in range(3):
+        columns += [lam[:, k].real, lam[:, k].imag]
+    columns.append([fp.classification for fp in fps])
     meta = _meta(args, ["alpha", "tau", "sigma", "a", "b", "c", "params", "seed"])
     meta["count"] = len(fps)
     text = _csv_text(
@@ -296,7 +302,7 @@ def cmd_fixed_points(args):
             "lambda3_im",
             "classification",
         ],
-        rows,
+        columns,
     )
     _emit(args.out, text)
     return EXIT_OK
@@ -324,28 +330,24 @@ def _diagram_svg(diag, width=640, height=640):
     }
     cw = width / len(xs)
     ch = height / len(ys)
-    parts = [
+    header = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">'
-    ]
+        f'height="{height}" viewBox="0 0 {width} {height}">\n'
+    )
     if diag.plane == "tau_alpha":
         labels = diag.label_plus
         counts = diag.count
     else:
         labels = diag.label
         counts = None
-    for i in range(len(ys)):
-        for j in range(len(xs)):
-            if counts is not None and counts[i, j] == 0:
-                color = palette["none"]
-            else:
-                color = palette.get(labels[i, j], "#999999")
-            x = sx(xs[j]) - cw / 2
-            y = sy(ys[i]) - ch / 2
-            parts.append(
-                f'<rect x="{x:.2f}" y="{y:.2f}" width="{cw:.2f}" '
-                f'height="{ch:.2f}" fill="{color}"/>'
-            )
+    colors = np.array([palette.get(c, "#999999") for c in labels.ravel().tolist()])
+    if counts is not None:
+        colors = np.where(counts.ravel() == 0, palette["none"], colors)
+    rects = _body(
+        f'<rect x="%.2f" y="%.2f" width="{cw:.2f}" height="{ch:.2f}" fill="%s"/>',
+        [np.tile(sx(xs) - cw / 2, len(ys)), np.repeat(sy(ys) - ch / 2, len(xs)), colors],
+    )
+    paths = []
     for name, arcs in sorted(diag.curves.items()):
         for arc in arcs:
             pts = [
@@ -356,12 +358,11 @@ def _diagram_svg(diag, width=640, height=640):
             if len(pts) < 2:
                 continue
             path = "M " + " L ".join(f"{u:.2f} {v:.2f}" for u, v in pts)
-            parts.append(
+            paths.append(
                 f'<path d="{path}" fill="none" stroke="black" '
-                f'stroke-width="1.2"><title>{name}</title></path>'
+                f'stroke-width="1.2"><title>{name}</title></path>\n'
             )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return "".join([header, rects, *paths, "</svg>\n"])
 
 
 def cmd_diagram(args):
@@ -397,27 +398,20 @@ def cmd_diagram(args):
             "c",
         ],
     )
-    rows = []
+    grid = [np.tile(diag.xs, len(diag.ys)), np.repeat(diag.ys, len(diag.xs))]
     if diag.plane == "tau_alpha":
         header = ["tau", "alpha", "count", "class_plus", "class_minus", "phase_plus"]
-        for i, alpha in enumerate(diag.ys):
-            for j, tau in enumerate(diag.xs):
-                rows.append(
-                    [
-                        tau,
-                        alpha,
-                        int(diag.count[i, j]),
-                        diag.label_plus[i, j] or "none",
-                        diag.label_minus[i, j] or "none",
-                        diag.phase_plus[i, j],
-                    ]
-                )
+        columns = [
+            *grid,
+            diag.count.ravel(),
+            np.where(diag.label_plus == "", "none", diag.label_plus).ravel(),
+            np.where(diag.label_minus == "", "none", diag.label_minus).ravel(),
+            diag.phase_plus.ravel(),
+        ]
     else:
         header = ["t", "s", "classification"]
-        for i, s in enumerate(diag.ys):
-            for j, t in enumerate(diag.xs):
-                rows.append([t, s, diag.label[i, j]])
-    _emit(args.out, _csv_text(meta, header, rows))
+        columns = [*grid, diag.label.ravel()]
+    _emit(args.out, _csv_text(meta, header, columns))
     if args.svg:
         _atomic_write(args.svg, "<!-- " + json.dumps(meta, sort_keys=True) + " -->\n" + _diagram_svg(diag))
     return EXIT_OK
@@ -441,20 +435,17 @@ def cmd_iterate(args):
             meta["asymptotic-axis"] = rep.axis
         except DynamicsError:
             pass
-    rows = [
-        [k, pt[0], pt[1], pt[2]] for k, pt in enumerate(orbit.points)
-    ]
-    _emit(args.out, _csv_text(meta, ["step", "x", "y", "z"], rows))
+    columns = [np.arange(len(orbit.points)), *orbit.points.T]
+    _emit(args.out, _csv_text(meta, ["step", "x", "y", "z"], columns))
     return EXIT_OK
 
 
 def _mesh_obj(mesh, meta):
-    lines = ["# " + json.dumps(meta, sort_keys=True)]
-    for v in mesh.vertices:
-        lines.append("v " + " ".join(_fmt(c) for c in v))
-    for t in mesh.triangles:
-        lines.append(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}")
-    return "\n".join(lines) + "\n"
+    return (
+        "# " + json.dumps(meta, sort_keys=True) + "\n"
+        + _body("v %.17g %.17g %.17g", mesh.vertices.T)
+        + _body("f %d %d %d", mesh.triangles.reshape(-1, 3).T + 1)
+    )
 
 
 def cmd_manifold(args):
@@ -501,12 +492,11 @@ def cmd_manifold(args):
             "truncated": mesh.truncated,
         }
         _atomic_write(f"{prefix}_{name}.json", _json_text(sidecar))
-    rows = []
-    for cid, curve in enumerate(curves):
-        for pt in curve.points:
-            rows.append([cid, pt[0], pt[1], pt[2]])
+    ids = np.repeat(np.arange(len(curves)), [len(c.points) for c in curves])
+    xyz = np.vstack([np.empty((0, 3)), *(c.points for c in curves)])
     meta["curves"] = len(curves)
-    _atomic_write(f"{prefix}_curves.csv", _csv_text(meta, ["curve_id", "x", "y", "z"], rows))
+    _atomic_write(f"{prefix}_curves.csv",
+                  _csv_text(meta, ["curve_id", "x", "y", "z"], [ids, *xyz.T]))
     if not curves:
         return EXIT_PREDICATE
     return EXIT_OK
@@ -521,22 +511,20 @@ def cmd_symmetric(args):
         pts = heteroclinic_from_symmetry(
             p, r, (args.s_min, args.s_max), samples=args.samples
         )
-        header = ["x", "y", "z"]
-        rows = [[pt.point[0], pt.point[1], pt.point[2]] for pt in pts]
+        pts = [pt.point for pt in pts]
     else:
         pts = symmetric_orbit_search(
             p, r, args.period, (args.s_min, args.s_max), samples=args.samples
         )
-        header = ["x", "y", "z"]
-        rows = [[pt[0], pt[1], pt[2]] for pt in pts]
+    xyz = np.reshape(pts, (-1, 3))
     meta = _meta(
         args,
         ["alpha", "tau", "sigma", "a", "b", "c", "period", "s_min", "s_max",
          "samples", "heteroclinic", "seed"],
     )
     meta["eta"] = r.eta
-    meta["found"] = len(rows)
-    _emit(args.out, _csv_text(meta, header, rows))
+    meta["found"] = len(xyz)
+    _emit(args.out, _csv_text(meta, ["x", "y", "z"], xyz.T))
     return EXIT_OK
 
 

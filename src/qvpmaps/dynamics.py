@@ -737,6 +737,10 @@ def _pullback_ts_curve(ts_points, q, sigma, which):
     return _branch_points(x, tau, alpha, sigma, which, 0.0)
 
 
+#: Cells per classify_stability call in stability_diagram, in whole rows.
+_GRID_BLOCK = 2048
+
+
 def stability_diagram(
     x_range,
     y_range,
@@ -754,17 +758,21 @@ def stability_diagram(
     double-root curves.  plane="t_s": direct classification with the t = s
     and t + s = -2 lines and the parametric double-root curves.
 
-    Each grid row is one classify_stability call (in tau_alpha, on x_plus
-    and x_minus of the row together, from the closed form), so memory grows
-    with nx only.  Its per-row float64/complex polish (see _cubic_roots)
-    makes every cell bitwise what classifying that cell alone gives.
+    The grid is classified in blocks of whole rows, about _GRID_BLOCK cells
+    (at least one row) per classify_stability call (in tau_alpha, on x_plus
+    and x_minus of the block together, from the closed form), so memory
+    grows with the block and not with the grid.  The per-cell float64/complex
+    polish of _cubic_roots makes every cell bitwise what classifying that
+    cell alone gives, whatever the block.
     """
     xs = np.linspace(*x_range, int(nx))
     ys = np.linspace(*y_range, int(ny))
+    rows = max(1, _GRID_BLOCK // max(1, len(xs)))
+    blocks = [slice(lo, lo + rows) for lo in range(0, len(ys), rows)]
     if plane == "t_s":
         label = np.empty((len(ys), len(xs)), dtype=object)
-        for i, s in enumerate(ys):
-            label[i], _ = classify_stability(xs, s)
+        for b in blocks:
+            label[b], _ = classify_stability(xs, ys[b, None])
         curves = {
             "saddle_node": [np.column_stack([xs, xs])],
             "period_doubling": [np.column_stack([xs, -2.0 - xs])],
@@ -781,24 +789,25 @@ def stability_diagram(
     label_plus = np.full((len(ys), len(xs)), "", dtype=object)
     label_minus = np.full((len(ys), len(xs)), "", dtype=object)
     phase_plus = np.full((len(ys), len(xs)), np.nan)
-    for i, alpha in enumerate(ys):
-        row = GenericMapParams(alpha, xs, sigma, quad)
-        count[i], x_plus, x_minus = _fixed_point_locations(row)
-        plus, minus = count[i] >= 1, count[i] == 2
+    for b in blocks:
+        alpha, tau = np.broadcast_arrays(ys[b, None], xs)
+        count[b], x_plus, x_minus = _fixed_point_locations(
+            GenericMapParams(alpha, tau, sigma, quad)
+        )
+        plus, minus = count[b] >= 1, count[b] == 2
         x = np.concatenate([x_plus[plus], x_minus[minus]])
-        tau = np.concatenate([xs[plus], xs[minus]])
+        tau = np.concatenate([tau[plus], tau[minus]])
         labels, lam = classify_stability(
             tau + (2 * quad.a + quad.b) * x, sigma - (2 * quad.c + quad.b) * x
         )
         k = np.count_nonzero(plus)
-        label_plus[i, plus], label_minus[i, minus] = labels[:k], labels[k:]
+        label_plus[b][plus], label_minus[b][minus] = labels[:k], labels[k:]
         imag = np.abs(lam[:k].imag)
         cplx = np.flatnonzero(np.max(imag, axis=1, initial=0.0) > 1e-9)
         z = lam[cplx, np.argmax(imag[cplx], axis=1)]
         # math.atan2: np.arctan2 differs from it in the last bit on some inputs
-        phase_plus[i, np.flatnonzero(plus)[cplx]] = [
-            abs(math.atan2(v.imag, v.real)) for v in z
-        ]
+        i, j = np.nonzero(plus)
+        phase_plus[b][i[cplx], j[cplx]] = [abs(math.atan2(v.imag, v.real)) for v in z]
     tau_grid = np.linspace(xs[0], xs[-1], 8 * len(xs))
     curves = {
         "saddle_node": [np.column_stack([tau_grid, 0.25 * (tau_grid - sigma) ** 2])],

@@ -63,13 +63,14 @@ def is_symplectic(m, ctx=None, tol=1e-9):
     Degree 0 is L^T J L = J; degree 1 gives L^T J M_k + M_k^T J L = 0 for
     every basis matrix M_k; degree 2 gives the symmetrized products
     M_k^T J M_l + M_l^T J M_k = 0.  Each degree's terms are one stacked
-    product over the M_k, and each term's max is held to its threshold.
+    product over the M_k, and each term's max is held to its threshold; a NaN
+    term fails it.
     """
     ctx = _context_for(m, ctx)
     J = ctx.J
     L = m.linear
     scale = max(1.0, float(np.max(np.abs(L))) ** 2)
-    if np.max(np.abs(L.T @ J @ L - J)) > tol * scale:
+    if not np.max(np.abs(L.T @ J @ L - J)) <= tol * scale:
         return False
     # mats[k] is the view quad[:, :, k], so each slice of a stacked product
     # runs the kernel that slice alone runs and every term keeps its bits
@@ -78,12 +79,12 @@ def is_symplectic(m, ctx=None, tol=1e-9):
     mt_j = mats.transpose(0, 2, 1) @ J
     deg1 = L.T @ J @ mats + mt_j @ L
     lmax = max(1.0, float(np.max(np.abs(L))))
-    if np.any(np.max(np.abs(deg1), axis=(1, 2)) > tol * mscale * lmax):
+    if not np.all(np.max(np.abs(deg1), axis=(1, 2)) <= tol * mscale * lmax):
         return False
     prods = mt_j[:, None] @ mats[None]
     i, j = np.triu_indices(len(mats))
     deg2 = prods[i, j] + prods[j, i]
-    return not np.any(np.max(np.abs(deg2), axis=(1, 2)) > tol * mscale**2)
+    return bool(np.all(np.max(np.abs(deg2), axis=(1, 2)) <= tol * mscale**2))
 
 
 def shear_square_residual(quad):

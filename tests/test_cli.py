@@ -319,3 +319,233 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path, shear_file, capsys):
     out = capsys.readouterr().out
     assert out == run_cli("classify", shear_file).stdout
     assert "symplectic" not in json.loads(out)
+
+
+# --------------------------------------------------------------------------
+# Writer parity: the block %-format writers against per-cell reference copies
+
+
+def _ref_fmt(x):
+    return format(float(x), ".17g")
+
+
+def _ref_csv_text(meta, header, rows):
+    """The CSV writer formatted one cell at a time."""
+    lines = [f"# {k} = {v}" for k, v in sorted(meta.items())]
+    lines.append(",".join(header))
+    for row in rows:
+        lines.append(
+            ",".join(_ref_fmt(c) if isinstance(c, (int, float, np.floating)) else str(c)
+                     for c in row)
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _ref_mesh_obj(mesh, meta):
+    """The OBJ writer formatted one vertex and one face at a time."""
+    lines = ["# " + json.dumps(meta, sort_keys=True)]
+    for v in mesh.vertices:
+        lines.append("v " + " ".join(_ref_fmt(c) for c in v))
+    for t in mesh.triangles:
+        lines.append(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}")
+    return "\n".join(lines) + "\n"
+
+
+def _ref_diagram_svg(diag, width=640, height=640):
+    """The SVG writer with one f-string per rect."""
+    xs, ys = diag.xs, diag.ys
+    x0, x1 = float(xs[0]), float(xs[-1])
+    y0, y1 = float(ys[0]), float(ys[-1])
+
+    def sx(x):
+        return (x - x0) / (x1 - x0) * width
+
+    def sy(y):
+        return height - (y - y0) / (y1 - y0) * height
+
+    palette = {
+        "": "#bbbbbb",
+        "type_A": "#4477aa",
+        "type_B": "#ee6677",
+        "elliptic_pair": "#ccbb44",
+        "saddle_node_boundary": "#aa3377",
+        "period_doubling_boundary": "#66ccee",
+        "none": "#dddddd",
+    }
+    cw = width / len(xs)
+    ch = height / len(ys)
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">'
+    ]
+    if diag.plane == "tau_alpha":
+        labels = diag.label_plus
+        counts = diag.count
+    else:
+        labels = diag.label
+        counts = None
+    for i in range(len(ys)):
+        for j in range(len(xs)):
+            if counts is not None and counts[i, j] == 0:
+                color = palette["none"]
+            else:
+                color = palette.get(labels[i, j], "#999999")
+            x = sx(xs[j]) - cw / 2
+            y = sy(ys[i]) - ch / 2
+            parts.append(
+                f'<rect x="{x:.2f}" y="{y:.2f}" width="{cw:.2f}" '
+                f'height="{ch:.2f}" fill="{color}"/>'
+            )
+    for name, arcs in sorted(diag.curves.items()):
+        for arc in arcs:
+            pts = [(sx(t), sy(a)) for t, a in arc if x0 <= t <= x1 and y0 <= a <= y1]
+            if len(pts) < 2:
+                continue
+            path = "M " + " L ".join(f"{u:.2f} {v:.2f}" for u, v in pts)
+            parts.append(
+                f'<path d="{path}" fill="none" stroke="black" '
+                f'stroke-width="1.2"><title>{name}</title></path>'
+            )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def _ref_diagram_rows(diag):
+    rows = []
+    if diag.plane == "tau_alpha":
+        for i, alpha in enumerate(diag.ys):
+            for j, tau in enumerate(diag.xs):
+                rows.append([tau, alpha, int(diag.count[i, j]),
+                             diag.label_plus[i, j] or "none",
+                             diag.label_minus[i, j] or "none", diag.phase_plus[i, j]])
+    else:
+        for i, s in enumerate(diag.ys):
+            for j, t in enumerate(diag.xs):
+                rows.append([t, s, diag.label[i, j]])
+    return rows
+
+
+def _assert_same_text(got, want):
+    """got == want, reporting the first differing line (pytest's own diff of
+    texts this long takes minutes)."""
+    if got != want:
+        g, w = got.split("\n"), want.split("\n")
+        k = next((i for i, (a, b) in enumerate(zip(g, w)) if a != b), min(len(g), len(w)))
+        pytest.fail(f"line {k + 1} differs: {g[k:k + 1]} != {w[k:k + 1]} "
+                    f"({len(g)} against {len(w)} lines)")
+
+
+def _spy(monkeypatch, name):
+    """Record the (args, result) of every call of cli.<name>."""
+    calls, real = [], getattr(cli, name)
+
+    def spy(*args, **kwargs):
+        calls.append((args, real(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cli, name, spy)
+    return calls
+
+
+class TestWriterParity:
+    """Every file the block writers produce equals the per-cell writers' text."""
+
+    @pytest.mark.parametrize("plane", [
+        ["--a", "0.5", "--b", "0", "--c", "0.5"],
+        ["--a", "-0.5", "--b", "1", "--c", "0.5"],
+        ["--plane", "t_s"],
+    ], ids=["fig3", "fig4", "t_s"])
+    def test_diagram(self, tmp_path, monkeypatch, plane):
+        diags, texts = _spy(monkeypatch, "stability_diagram"), _spy(monkeypatch, "_csv_text")
+        out, svg = tmp_path / "d.csv", tmp_path / "d.svg"
+        argv = ["diagram", *plane, "--nx", "37", "--ny", "23", "--sigma", "0.3",
+                "--out", str(out), "--svg", str(svg)]
+        assert main(argv) == 0
+        diag = diags[0][1]
+        (meta, header, _), _ = texts[0]
+        _assert_same_text(out.read_text(), _ref_csv_text(meta, header, _ref_diagram_rows(diag)))
+        _assert_same_text(svg.read_text(), "<!-- " + json.dumps(meta, sort_keys=True) + " -->\n"
+                          + _ref_diagram_svg(diag))
+
+    def test_fig2_mesh(self, tmp_path, monkeypatch):
+        objs = _spy(monkeypatch, "_mesh_obj")
+        curves, texts = _spy(monkeypatch, "intersect_meshes"), _spy(monkeypatch, "_csv_text")
+        prefix = tmp_path / "m"
+        argv = ["manifold", "--alpha", "0", "--tau", "-0.3", "--eps", "0.36", "--depth", "8",
+                "--ring-points", "16", "--prefix", str(prefix)]
+        assert main(argv) == 0
+        assert len(objs) == 2
+        for (mesh, meta), text in objs:
+            _assert_same_text(text, _ref_mesh_obj(mesh, meta))
+            _assert_same_text((tmp_path / f"m_{meta['kind']}.obj").read_text(), text)
+        (meta, header, _), _ = texts[0]
+        rows = [[cid, *pt] for cid, c in enumerate(curves[0][1]) for pt in c.points]
+        assert rows
+        _assert_same_text((tmp_path / "m_curves.csv").read_text(), _ref_csv_text(meta, header, rows))
+
+    @pytest.mark.parametrize("argv, path, status", [
+        (["fixed-points", "--alpha", "5", "--tau", "0", "--out", "o.csv"], "o.csv", 0),
+        (["symmetric", "--alpha", "0", "--tau", "-0.3", "--period", "4", "--samples", "400",
+          "--out", "o.csv"], "o.csv", 0),
+        (["manifold", "--alpha", "0", "--tau", "-0.3", "--eps", "0.05", "--depth", "1",
+          "--ring-points", "8", "--prefix", "o"], "o_curves.csv", 2),
+    ], ids=["fixed-points", "symmetric", "manifold"])
+    def test_header_only(self, tmp_path, monkeypatch, argv, path, status):
+        monkeypatch.chdir(tmp_path)
+        texts = _spy(monkeypatch, "_csv_text")
+        assert main(argv) == status
+        (meta, header, _), text = texts[0]
+        _assert_same_text(text, _ref_csv_text(meta, header, []))
+        assert text.count("\n") == len(meta) + 1
+        _assert_same_text((tmp_path / path).read_text(), text)
+
+    def test_fixed_points_and_iterate(self, tmp_path, monkeypatch):
+        fps, texts = _spy(monkeypatch, "fixed_points"), _spy(monkeypatch, "_csv_text")
+        assert main(["fixed-points", "--alpha", "-1", "--tau", "0",
+                     "--out", str(tmp_path / "f.csv")]) == 0
+        rows = [[fp.which, *fp.location, fp.t, fp.s,
+                 *[part for lam in fp.eigenvalues for part in (lam.real, lam.imag)],
+                 fp.classification] for fp in fps[0][1]]
+        (meta, header, _), text = texts[0]
+        assert len(rows) == 2
+        _assert_same_text(text, _ref_csv_text(meta, header, rows))
+        orbits = _spy(monkeypatch, "iterate")
+        assert main(["iterate", "--alpha", "0", "--tau", "-0.3", "--x0", "0.1", "--y0", "0.2",
+                     "--z0", "0.05", "--steps", "300", "--out", str(tmp_path / "i.csv")]) == 0
+        (meta, header, _), text = texts[1]
+        rows = [[k, *pt] for k, pt in enumerate(orbits[0][1].points)]
+        _assert_same_text(text, _ref_csv_text(meta, header, rows))
+
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 2048, 2500])
+    def test_special_columns(self, n):
+        rng = np.random.default_rng(1400 + n)
+        special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e16,
+                            1e300, -1e300, 1.0, 0.1, 2.0**53 + 2, 1e-300])
+        bits = rng.integers(0, 2**64, n, dtype=np.uint64).view(float)
+        scaled = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+        columns = [
+            np.arange(n),
+            np.resize(special, n),
+            bits,
+            scaled,
+            np.resize(np.array(["type_A", "", "none", "a,b%s"], dtype=object), n),
+            np.resize(np.array([True, False]), n),
+            np.resize(np.array(["x", "%d"]), n),
+            scaled.astype(np.longdouble) / 3,
+        ]
+        header = [f"c{k}" for k in range(len(columns))]
+        rows = list(zip(*[c.tolist() if c.dtype != np.longdouble else list(c) for c in columns]))
+        meta = {"tool": "qvpmaps", "n": n}
+        _assert_same_text(cli._csv_text(meta, header, columns), _ref_csv_text(meta, header, rows))
+
+    def test_percent_format_is_format(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hyp.settings(max_examples=500, deadline=None, derandomize=True, database=None)
+        @hyp.given(st.floats())
+        def check(x):
+            assert "%.17g" % x == format(x, ".17g")
+            assert "%.2f" % x == format(x, ".2f")
+
+        check()

@@ -30,6 +30,7 @@ from qvpmaps.dynamics import (
     NotPositiveDefiniteError,
     Reversor,
     _cubic_roots,
+    _fixed_point_locations,
     _second_fix_defects,
 )
 
@@ -559,6 +560,62 @@ class TestPeriodicCountBound:
     def test_rejects_zero_form(self):
         with pytest.raises(DynamicsError):
             periodic_count_bound(QuadraticForm2(0.0, 1.0, 0.0), 2)
+
+
+def _ref_grid(diag):
+    """The diagram's grid classified one row per classify_stability call."""
+    xs, ys = diag.xs, diag.ys
+    if diag.plane == "t_s":
+        label = np.empty((len(ys), len(xs)), dtype=object)
+        for i, s in enumerate(ys):
+            label[i], _ = classify_stability(xs, s)
+        return {"label": label}
+    quad, sigma = diag.quad, diag.sigma
+    count = np.zeros((len(ys), len(xs)), dtype=int)
+    label_plus = np.full((len(ys), len(xs)), "", dtype=object)
+    label_minus = np.full((len(ys), len(xs)), "", dtype=object)
+    phase_plus = np.full((len(ys), len(xs)), np.nan)
+    for i, alpha in enumerate(ys):
+        count[i], x_plus, x_minus = _fixed_point_locations(GenericMapParams(alpha, xs, sigma, quad))
+        plus, minus = count[i] >= 1, count[i] == 2
+        x = np.concatenate([x_plus[plus], x_minus[minus]])
+        tau = np.concatenate([xs[plus], xs[minus]])
+        labels, lam = classify_stability(
+            tau + (2 * quad.a + quad.b) * x, sigma - (2 * quad.c + quad.b) * x
+        )
+        k = np.count_nonzero(plus)
+        label_plus[i, plus], label_minus[i, minus] = labels[:k], labels[k:]
+        imag = np.abs(lam[:k].imag)
+        cplx = np.flatnonzero(np.max(imag, axis=1, initial=0.0) > 1e-9)
+        z = lam[cplx, np.argmax(imag[cplx], axis=1)]
+        phase_plus[i, np.flatnonzero(plus)[cplx]] = [abs(math.atan2(v.imag, v.real)) for v in z]
+    return {"count": count, "label_plus": label_plus, "label_minus": label_minus,
+            "phase_plus": phase_plus}
+
+
+class TestGridBlocks:
+    """Whole-row blocks of about _GRID_BLOCK cells classify every cell bitwise as
+    one classify_stability call per row does."""
+
+    @pytest.mark.parametrize("nx, ny", [(7, 600), (2500, 3), (1, 50), (100, 1), (1, 1)])
+    @pytest.mark.parametrize("plane, quad", [
+        ("tau_alpha", QuadraticForm2(0.5, 0.0, 0.5)),
+        ("tau_alpha", QuadraticForm2(-0.5, 1.0, 0.5)),
+        ("t_s", None),
+    ], ids=["fig3", "fig4", "t_s"])
+    def test_blocks_equal_rows(self, nx, ny, plane, quad):
+        diag = stability_diagram((-4.0, 4.0), (-3.0, 3.0), nx=nx, ny=ny, quad=quad,
+                                 sigma=0.3, plane=plane)
+        ref = _ref_grid(diag)
+        for name, want in ref.items():
+            got = getattr(diag, name)
+            assert got.shape == (ny, nx) and got.dtype == want.dtype
+            if want.dtype == object:
+                got, want = got.astype(str), want.astype(str)
+            assert got.tobytes() == want.tobytes(), name
+        if plane == "tau_alpha" and nx * ny >= 600:
+            assert np.any(diag.count == 2) and np.any(diag.count == 0)
+            assert np.any(np.isfinite(diag.phase_plus))
 
 
 class TestStabilityDiagram:

@@ -307,13 +307,24 @@ class TestIdentityParity:
         any_tensor()
 
 
+def _nan_quad():
+    quad = np.zeros((4, 4, 4))
+    quad[0, 3, 3] = np.nan
+    return quad
+
+
 class TestShearNaN:
     """A NaN M(x)^2 residual is refused, not certified."""
 
+    @pytest.mark.parametrize("m", [
+        QuadMap(np.zeros(4), np.full((4, 4), np.nan), np.zeros((4, 4, 4))),
+        QuadMap.standard_form(_nan_quad()),
+    ], ids=["nan_linear", "nan_quad"])
+    def test_nan_map_is_not_symplectic(self, m):
+        assert is_symplectic(m) is False
+
     def test_nan_in_a_later_pair_propagates(self):
-        quad = np.zeros((4, 4, 4))
-        quad[0, 3, 3] = np.nan
-        assert np.isnan(shear_square_residual(quad))
+        assert np.isnan(shear_square_residual(_nan_quad()))
 
     def test_nan_residual_is_refused(self, monkeypatch):
         rng = np.random.default_rng(310)
