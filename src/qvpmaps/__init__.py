@@ -22,7 +22,6 @@ from .normalform import (
 )
 from .symplectic import (
     GradientShearForm,
-    SymplecticContext,
     is_symplectic,
     shear_to_gradient_form,
     symplectic_decompose,

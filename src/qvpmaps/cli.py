@@ -308,16 +308,25 @@ def cmd_fixed_points(args):
     return EXIT_OK
 
 
-def _diagram_svg(diag, width=640, height=640):
+def _axis_px(v, lo, hi, size):
+    """Pixel offset of v on the axis [lo, hi] drawn size pixels long; on a
+    one-point axis (lo == hi) every v is at the centre."""
+    if hi == lo:
+        return 0.0 * v + size / 2
+    return (v - lo) / (hi - lo) * size
+
+
+def _diagram_svg(diag):
+    width = height = 640
     xs, ys = diag.xs, diag.ys
     x0, x1 = float(xs[0]), float(xs[-1])
     y0, y1 = float(ys[0]), float(ys[-1])
 
     def sx(x):
-        return (x - x0) / (x1 - x0) * width
+        return _axis_px(x, x0, x1, width)
 
     def sy(y):
-        return height - (y - y0) / (y1 - y0) * height
+        return height - _axis_px(y, y0, y1, height)
 
     palette = {
         "": "#bbbbbb",
@@ -472,12 +481,7 @@ def cmd_manifold(args):
         p, fp_b, "unstable", eps=args.eps, depth=args.depth, refine=args.refine,
         ring_points=args.ring_points,
     )
-    r = (
-        reversor_for(p, seed=args.seed)
-        if abs(p.quad.a - p.quad.c) < 1e-12
-        else None
-    )
-    curves = intersect_meshes(unstable, stable, reversor=r)
+    curves = intersect_meshes(unstable, stable, reversor=reversor_for(p, seed=args.seed))
     prefix = args.prefix
     for name, mesh in (("stable", stable), ("unstable", unstable)):
         m = dict(meta)

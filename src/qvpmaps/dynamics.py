@@ -367,11 +367,11 @@ class DirectionReport:
     extra_steps: int
 
 
-def asymptotic_direction(orbit, ratio_bound=0.1, max_extra=2000):
+def asymptotic_direction(orbit):
     """Escape axis of an unbounded orbit: +x forward, -z backward.
 
-    Extends the orbit (without mutating it) until the lag ratios |y/x|, |z/y|
-    (forward) or |y/z|, |x/y| (backward) drop below ``ratio_bound``.
+    Extends the orbit (without mutating it) by up to 2000 steps until the lag
+    ratios |y/x|, |z/y| (forward) or |y/z|, |x/y| (backward) drop below 0.1.
     """
     if orbit.verdict == "bounded-so-far":
         raise DynamicsError("orbit did not escape; no asymptotic direction")
@@ -387,14 +387,14 @@ def asymptotic_direction(orbit, ratio_bound=0.1, max_extra=2000):
         return (y / z if z > 0 else np.inf, x / y if y > 0 else np.inf)
 
     r = ratios(pt)
-    while max(r) >= ratio_bound and extra < max_extra:
+    while max(r) >= 0.1 and extra < 2000:
         nxt = step(pt)
         if not np.all(np.isfinite(nxt)):
             break
         pt = nxt
         extra += 1
         r = ratios(pt)
-    if max(r) >= ratio_bound:
+    if max(r) >= 0.1:
         raise DynamicsError("escape direction did not settle within the budget")
     axis = "+x" if orbit.direction == "forward" else "-z"
     return DirectionReport(axis=axis, ratios=(float(r[0]), float(r[1])), extra_steps=extra)
@@ -437,24 +437,25 @@ class Reversor:
         return x + z + self.eta, y + self.eta / 2.0
 
 
-def reversor_for(p, tol=1e-12, check_points=20, check_tol=1e-10, seed=7):
+def reversor_for(p, seed=7):
     """Reversor of the normal form, or None when a != c.
 
     Requires a = c (the quadratic form symmetric) and the generic condition
     a + b + c != 0; eta = (tau - sigma)/(a + b + c).  The functional equation
-    h o f = f^{-1} o h is verified at random points before returning.
+    h o f = f^{-1} o h is verified at 20 random points (drawn from seed)
+    before returning.
     """
     q = p.quad
-    if abs(q.coeff_sum()) <= tol * max(1.0, abs(q.a), abs(q.b), abs(q.c)):
+    if abs(q.coeff_sum()) <= 1e-12 * max(1.0, abs(q.a), abs(q.b), abs(q.c)):
         raise NonGenericError("a + b + c = 0: reversibility not addressed")
-    if not q.is_symmetric(tol=1e-12):
+    if not q.is_symmetric():
         return None
     h = Reversor(eta=(p.tau - p.sigma) / q.coeff_sum())
-    pts = np.random.default_rng(seed).standard_normal((check_points, 3))
+    pts = np.random.default_rng(seed).standard_normal((20, 3))
     worst = float(np.max(np.abs(h(p.step(pts)) - p.step_back(h(pts))), initial=0.0))
-    if worst > check_tol:
+    if worst > 1e-10:
         raise DynamicsError(
-            f"reversor functional equation residual {worst:.3g} exceeds {check_tol}"
+            f"reversor functional equation residual {worst:.3g} exceeds 1e-10"
         )
     return h
 
@@ -602,7 +603,7 @@ def symmetric_orbit_search(p, r, period, bracket, samples=10_000):
     return hits
 
 
-def period2_line(p, tol=1e-9):
+def period2_line(p):
     """Lines of period-2 points present when a = c = b/2 and sigma+tau+2 = 0.
 
     delta solves a delta^2 - (1+sigma) delta + alpha = 0 (the substitution of
@@ -612,9 +613,9 @@ def period2_line(p, tol=1e-9):
     """
     q = p.quad
     scale = max(1.0, abs(q.a), abs(q.b), abs(q.c))
-    if abs(q.a - q.c) > tol * scale or abs(q.b - 2 * q.a) > tol * scale:
+    if abs(q.a - q.c) > 1e-9 * scale or abs(q.b - 2 * q.a) > 1e-9 * scale:
         return None
-    if abs(p.sigma + p.tau + 2.0) > tol * max(1.0, abs(p.sigma), abs(p.tau)):
+    if abs(p.sigma + p.tau + 2.0) > 1e-9 * max(1.0, abs(p.sigma), abs(p.tau)):
         return None
     # a delta^2 - (1+sigma) delta + alpha = 0
     coeffs = [q.a, -(1.0 + p.sigma), p.alpha]
@@ -646,7 +647,7 @@ class _Period2Line:
         return float(np.max(np.abs(img - pts), initial=0.0))
 
 
-def periodic_count_bound(q, n, tol=1e-9):
+def periodic_count_bound(q, n):
     """Certificate for the 2^n bound on fixed points of f^n.
 
     mu_pm are the roots of a mu^2 + b mu + c = 0; the bound is certified only
@@ -675,7 +676,7 @@ def periodic_count_bound(q, n, tol=1e-9):
             prod = mu_plus**k
         else:
             prod = mu_plus**k * mu_minus ** (n - k)
-        if np.isfinite(prod) and abs(prod - 1.0) <= tol:
+        if np.isfinite(prod) and abs(prod - 1.0) <= 1e-9:
             violating.append(k)
     return {
         "n": n,
@@ -712,8 +713,8 @@ class StabilityDiagram:
     curves: dict = field(default_factory=dict)
 
 
-def _double_root_curves(r_ranges=((-3.0, -0.3), (0.3, 3.0)), n=241):
-    rs = [np.linspace(lo, hi, n) for lo, hi in r_ranges]
+def _double_root_curves():
+    rs = [np.linspace(lo, hi, 241) for lo, hi in ((-3.0, -0.3), (0.3, 3.0))]
     return [np.column_stack([2 * r + 1.0 / r**2, r**2 + 2.0 / r]) for r in rs]
 
 
@@ -765,8 +766,11 @@ def stability_diagram(
     polish of _cubic_roots makes every cell bitwise what classifying that
     cell alone gives, whatever the block.
     """
-    xs = np.linspace(*x_range, int(nx))
-    ys = np.linspace(*y_range, int(ny))
+    nx, ny = int(nx), int(ny)
+    if nx < 1 or ny < 1:
+        raise DynamicsError(f"the grid needs nx >= 1 and ny >= 1 (got nx={nx}, ny={ny})")
+    xs = np.linspace(*x_range, nx)
+    ys = np.linspace(*y_range, ny)
     rows = max(1, _GRID_BLOCK // max(1, len(xs)))
     blocks = [slice(lo, lo + rows) for lo in range(0, len(ys), rows)]
     if plane == "t_s":

@@ -58,7 +58,7 @@ class InvariantSplit:
         raise ManifoldError("kind must be 'stable' or 'unstable'")
 
 
-def linear_data(p, fp, tol=HYPERBOLIC_TOL):
+def linear_data(p, fp):
     """Eigen-split of the linearization at a hyperbolic fixed point.
 
     Complex pairs contribute the real 2-plane spanned by the real and
@@ -66,7 +66,7 @@ def linear_data(p, fp, tol=HYPERBOLIC_TOL):
     """
     J = p.jacobian(fp.location)
     vals, vecs = np.linalg.eig(J)
-    if np.any(np.abs(np.abs(vals) - 1.0) <= tol):
+    if np.any(np.abs(np.abs(vals) - 1.0) <= HYPERBOLIC_TOL):
         raise NonHyperbolicError(
             f"fixed point is not hyperbolic (moduli {np.abs(vals)})"
         )
@@ -77,7 +77,7 @@ def linear_data(p, fp, tol=HYPERBOLIC_TOL):
             continue
         lam, w = vals[i], vecs[:, i]
         side = "stable" if abs(lam) < 1.0 else "unstable"
-        if abs(lam.imag) > tol:
+        if abs(lam.imag) > HYPERBOLIC_TOL:
             j = next(
                 k
                 for k in range(3)
@@ -148,24 +148,14 @@ def _frac_power_2x2(B, t):
     return np.real(P)
 
 
-def _default_box(p, scale=1.5):
+def _default_box(p):
     if p.quad.is_positive_definite():
         k = escape_bound(p.quad, p.alpha, p.tau, p.sigma)
-        return scale * k
+        return 1.5 * k
     return None
 
 
-def grow_2d(
-    p,
-    fp,
-    kind,
-    eps=None,
-    depth=6,
-    refine=None,
-    ring_points=64,
-    box=None,
-    max_ring_points=4096,
-):
+def grow_2d(p, fp, kind, eps=None, depth=6, refine=None, ring_points=64):
     """Grow a triangulated 2D stable/unstable manifold mesh.
 
     The seed annulus is one fundamental domain of the linearized dynamics in
@@ -173,9 +163,9 @@ def grow_2d(
     consecutive rings differ by a small rotation/scaling; ring k + subrings is
     the exact image of ring k under the map (unstable) or its inverse
     (stable).  Ring edges longer than ``refine`` are split by inserting the
-    seed-parameter midpoint and pushing it forward.  Growth is truncated with
-    a flag when a ring leaves the bounding box (default: the escape cube
-    scaled by 1.5 when Q is positive definite).
+    seed-parameter midpoint and pushing it forward, up to 4096 points a ring.
+    Growth is truncated with a flag when a ring leaves the bounding box (the
+    escape cube scaled by 1.5 when Q is positive definite, none otherwise).
     """
     split = linear_data(p, fp)
     vals, basis = split.subspace(kind)
@@ -189,8 +179,7 @@ def grow_2d(
     rho = float(np.max(np.abs(lam_growth)))
     if eps is None:
         eps = 1e-4 * (1.0 + float(np.max(np.abs(fp.location))))
-    if box is None:
-        box = _default_box(p)
+    box = _default_box(p)
     if refine is None:
         refine = 2.5 * (2 * math.pi / ring_points) * eps * rho ** (depth + 1)
 
@@ -240,7 +229,7 @@ def grow_2d(
         phis = np.linspace(0.0, 2 * math.pi, ring_points, endpoint=False)
         pts = ring(k, phis)
         # split long edges by seed-parameter midpoints
-        while len(phis) < max_ring_points:
+        while len(phis) < 4096:
             edge = np.roll(pts, -1, axis=0) - pts
             dphi = (np.roll(phis, -1) - phis) % (2 * math.pi)
             # np.vecdot is the per-edge np.linalg.norm bit for bit
@@ -328,13 +317,14 @@ class ManifoldBranch:
     truncated: bool = False
 
 
-def grow_1d(p, fp, kind, eps=None, depth=8, refine=None, seed_points=8, box=None,
-            max_points=20000):
+def grow_1d(p, fp, kind, eps=None, depth=8, seed_points=8):
     """Grow the two branches of a 1D stable/unstable manifold.
 
     Each branch starts from a fundamental segment [eps, |lambda| eps] along
     the eigenvector (geometric spacing) and is extended generation by
-    generation; gaps longer than ``refine`` insert seed-parameter midpoints.
+    generation; gaps longer than 0.25 eps times the growth over depth + 1
+    steps insert seed-parameter midpoints, up to 20000 points a branch.  A
+    branch is cut at its first point outside grow_2d's bounding box.
     A negative multiplier swaps the branches under one step, so growth then
     uses the second iterate per branch.
     """
@@ -354,10 +344,8 @@ def grow_1d(p, fp, kind, eps=None, depth=8, refine=None, seed_points=8, box=None
     growth = abs(growth)
     if eps is None:
         eps = 1e-4 * (1.0 + float(np.max(np.abs(fp.location))))
-    if box is None:
-        box = _default_box(p)
-    if refine is None:
-        refine = 0.25 * eps * growth ** (depth + 1)
+    box = _default_box(p)
+    refine = 0.25 * eps * growth ** (depth + 1)
 
     branches = []
     for sign in (+1, -1):
@@ -379,7 +367,7 @@ def grow_1d(p, fp, kind, eps=None, depth=8, refine=None, seed_points=8, box=None
         truncated = False
         # refinement on the chained polyline
         changed = True
-        while changed and len(entries) < max_points:
+        while changed and len(entries) < 20000:
             changed = False
             new_entries = []
             for i in range(len(entries)):
@@ -449,13 +437,13 @@ def _plane_chord(tris, dists):
     return rank[:, 2] >= 2, first, second
 
 
-def _tri_tri_segment(t1, t2, min_len=1e-12):
+def _tri_tri_segment(t1, t2):
     """Intersection segments of the triangle pairs (t1[n], t2[n]), over
     (N, 3, 3) stacks.
 
     Each pair is rejected when one triangle lies strictly on one side of the
     other's plane (Moller, JGT 1997), when the planes are near parallel, or
-    when the two chords on their common line overlap by at most min_len.
+    when the two chords on their common line overlap by at most 1e-12.
     Returns (hit, segments): the (N,) mask of the pairs that intersect and
     their (hit.sum(), 2, 3) segments, in pair order.
     """
@@ -482,7 +470,7 @@ def _tri_tri_segment(t1, t2, min_len=1e-12):
     lo1, hi1 = np.where(u < s_base, u, s_base), np.where(u < s_base, s_base, u)
     lo2, hi2 = np.where(w < v, w, v), np.where(w < v, v, w)
     lo, hi = np.where(lo2 > lo1, lo2, lo1), np.where(hi2 < hi1, hi2, hi1)
-    long = ~(hi - lo <= min_len)
+    long = ~(hi - lo <= 1e-12)
     hit[hit] = long
     seg = np.stack([p1 + (lo - s_base)[:, None] * direction,
                     p1 + (hi - s_base)[:, None] * direction], axis=1)
@@ -587,10 +575,10 @@ def _candidate_pairs(mesh_a, mesh_b):
         yield from zip(a[near].tolist(), b[near].tolist())
 
 
-def _stitch_segments(segments, tol=STITCH_TOL):
-    """Join segments sharing endpoints (within tol) into ordered polylines."""
+def _stitch_segments(segments):
+    """Join segments sharing endpoints (within STITCH_TOL) into ordered polylines."""
     def key(pt):
-        return tuple(np.round(pt / tol).astype(np.int64))
+        return tuple(np.round(pt / STITCH_TOL).astype(np.int64))
 
     nodes = {}
     for sid, (a, b) in enumerate(segments):
@@ -657,7 +645,7 @@ def _mesh_normal_near(mesh, pt):
     return n / nn if nn > 0 else n
 
 
-def intersect_meshes(mesh_a, mesh_b, reversor=None, stitch_tol=STITCH_TOL):
+def intersect_meshes(mesh_a, mesh_b, reversor=None):
     """Heteroclinic (or homoclinic) polylines from triangle-pair intersections.
 
     Segments from straddling triangle pairs are stitched by shared endpoints;
@@ -676,11 +664,11 @@ def intersect_meshes(mesh_a, mesh_b, reversor=None, stitch_tol=STITCH_TOL):
     ])
     if not len(segments):
         return []
-    polylines = _stitch_segments(segments, stitch_tol)
+    polylines = _stitch_segments(segments)
     edge_bound = max(mesh_a.edge_length_bound(), mesh_b.edge_length_bound())
     curves = []
     for pts in polylines:
-        closed = bool(np.linalg.norm(pts[0] - pts[-1]) <= 10 * stitch_tol)
+        closed = bool(np.linalg.norm(pts[0] - pts[-1]) <= 10 * STITCH_TOL)
         info = {}
         if not closed:
             for name, end in (("start", pts[0]), ("end", pts[-1])):

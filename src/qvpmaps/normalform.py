@@ -49,8 +49,8 @@ class QuadraticForm2:
     def is_positive_definite(self):
         return self.a > 0 and self.c > 0 and self.d > 0
 
-    def is_symmetric(self, tol=1e-12):
-        return abs(self.a - self.c) <= tol * max(1.0, abs(self.a), abs(self.c))
+    def is_symmetric(self):
+        return abs(self.a - self.c) <= 1e-12 * max(1.0, abs(self.a), abs(self.c))
 
     def __call__(self, u, w):
         return self.a * u * u + self.b * u * w + self.c * w * w
@@ -98,18 +98,24 @@ def second_trace(L):
     return float(m1 + m2 + m3)
 
 
-def z_dimension(v, L, rtol=RANK_RTOL):
-    """Numerical rank of [v | Lv | L^2 v] with a relative SVD threshold."""
+def _z_singular_values(v, L):
+    """Singular values of [v | Lv | L^2 v] and the rank they give: the number
+    above RANK_RTOL times the largest."""
     v = np.asarray(v, dtype=float)
     if np.linalg.norm(v) == 0.0:
         raise NormalFormError("zero shear direction: map is affine")
     L = np.asarray(L, dtype=float)
     K = np.column_stack([v, L @ v, L @ L @ v])
     s = np.linalg.svd(K, compute_uv=False)
-    return int(np.sum(s > rtol * s[0]))
+    return s, int(np.sum(s > RANK_RTOL * s[0]))
 
 
-def decompose(m, tol=1e-8):
+def z_dimension(v, L):
+    """Numerical rank of [v | Lv | L^2 v] with a relative SVD threshold."""
+    return _z_singular_values(v, L)[1]
+
+
+def decompose(m):
     """Split f = T o S with T = (Df(0), f(0)) and S the extracted shear.
 
     Returns (T, ShearData) for a genuine quadratic part, (T, None) when the
@@ -119,7 +125,7 @@ def decompose(m, tol=1e-8):
     """
     T = AffineMap(m.linear, m.const)
     _, S = m.standard_part()
-    res = shear_mod.extract_shear(S, rtol=tol)
+    res = shear_mod.extract_shear(S)
     if res is AFFINE:
         return T, None
     if res is NOT_A_SHEAR:
@@ -186,7 +192,7 @@ def _structure_residual(g, template):
     )
 
 
-def to_normal_form(m, rank_rtol=RANK_RTOL, oracle_tol=ORACLE_TOL):
+def to_normal_form(m):
     """Reduce a quadratic volume-preserving diffeomorphism of R^3 by affine
     conjugacy to one of the three normal forms.
 
@@ -215,11 +221,9 @@ def to_normal_form(m, rank_rtol=RANK_RTOL, oracle_tol=ORACLE_TOL):
             diagnostics={"note": "quadratic part vanishes; no reduction applies"},
         )
     L, v = T.linear, sd.v
-    K = np.column_stack([v, L @ v, L @ L @ v])
-    svals = np.linalg.svd(K, compute_uv=False)
-    dim_z = int(np.sum(svals > rank_rtol * svals[0]))
+    svals, dim_z = _z_singular_values(v, L)
     diagnostics = {"z_singular_values": svals.tolist(), "dim_z": dim_z}
-    small = [s for s in svals if rank_rtol * svals[0] < s < 10 * rank_rtol * svals[0]]
+    small = [s for s in svals if RANK_RTOL * svals[0] < s < 10 * RANK_RTOL * svals[0]]
     if small:
         diagnostics["near_degenerate_rank"] = True
 
@@ -232,9 +236,9 @@ def to_normal_form(m, rank_rtol=RANK_RTOL, oracle_tol=ORACLE_TOL):
 
     res = conjugacy_residual(m, nf.conjugacy, nf.normal_map)
     nf.diagnostics["oracle_residual"] = res
-    if not res <= oracle_tol:
+    if not res <= ORACLE_TOL:
         raise NormalFormError(
-            f"conjugacy oracle residual {res:.3g} exceeds {oracle_tol:.1g}"
+            f"conjugacy oracle residual {res:.3g} exceeds {ORACLE_TOL:.1g}"
         )
     return replace(nf, shear=sd)
 
@@ -399,7 +403,7 @@ def _reduce_case3(m, L, v, diagnostics):
     return NormalForm("III", params, conj, template, None, None, diagnostics)
 
 
-def reduce_generic(nf, tol=1e-12, oracle_tol=ORACLE_TOL):
+def reduce_generic(nf):
     """Normalize a case-I form to a + b + c = 1 and sigma = 0.
 
     The scaling x -> lambda x multiplies (a, b, c) by lambda, so
@@ -413,12 +417,12 @@ def reduce_generic(nf, tol=1e-12, oracle_tol=ORACLE_TOL):
         raise NormalFormError("generic reduction applies to case I only")
     p = nf.params
     a, b, c = p["a"], p["b"], p["c"]
-    scale = max(1.0, abs(a), abs(b), abs(c))
-    if abs(a + b + c) <= tol * scale:
+    bound = 1e-12 * max(1.0, abs(a), abs(b), abs(c))
+    if abs(a + b + c) <= bound:
         d = dict(nf.diagnostics)
         d["nongeneric"] = "sum_zero"
         return replace(nf, diagnostics=d)
-    if abs(b + 2 * c) <= tol * scale:
+    if abs(b + 2 * c) <= bound:
         d = dict(nf.diagnostics)
         d["nongeneric"] = "translation"
         return replace(nf, diagnostics=d)
@@ -452,8 +456,8 @@ def reduce_generic(nf, tol=1e-12, oracle_tol=ORACLE_TOL):
     d["sigma_shift_gamma"] = gamma
     res = conjugacy_residual(nf.normal_map, compose(c_scale, c_shift), template)
     d["generic_oracle_residual"] = res
-    if not res <= oracle_tol:
+    if not res <= ORACLE_TOL:
         raise NormalFormError(
-            f"generic-reduction oracle residual {res:.3g} exceeds {oracle_tol:.1g}"
+            f"generic-reduction oracle residual {res:.3g} exceeds {ORACLE_TOL:.1g}"
         )
     return NormalForm("I", dict(nf.params), conj_total, template, nf.shear, generic, d)

@@ -95,9 +95,6 @@ class AffineMap:
     def det(self):
         return float(np.linalg.det(self.linear))
 
-    def is_volume_preserving(self, tol=DEFAULT_TOL):
-        return abs(abs(self.det()) - 1.0) <= tol
-
     def inverse(self):
         Li = np.linalg.inv(self.linear)
         return AffineMap(Li, -Li @ self.const)
@@ -174,13 +171,6 @@ class QuadMap:
 
     def jacobian(self, x):
         return self.linear + self.m_of(x)
-
-    def degree(self, tol=DEFAULT_TOL):
-        if np.max(np.abs(self.quad)) > tol:
-            return 2
-        if np.max(np.abs(self.linear)) > tol:
-            return 1
-        return 0
 
     def is_standard_form(self, tol=DEFAULT_TOL):
         return (
@@ -283,10 +273,10 @@ class PolyMap:
             out += mono * v
         return out
 
-    def degree(self, tol=0.0):
+    def degree(self):
         deg = 0
         for e, v in self.terms.items():
-            if np.max(np.abs(v)) > tol:
+            if np.max(np.abs(v)) > 0.0:
                 deg = max(deg, sum(e))
         return deg
 
@@ -294,12 +284,12 @@ class PolyMap:
         vals = [np.max(np.abs(v)) for e, v in self.terms.items() if sum(e) > deg]
         return max(vals, default=0.0)
 
-    def as_quadmap(self, tol=COMPOSE_TOL):
+    def as_quadmap(self):
         """Collapse to a QuadMap if all degree>2 coefficients vanish, else None."""
         scale = max(
             [1.0] + [float(np.max(np.abs(v))) for v in self.terms.values()]
         )
-        if self.max_coeff_above_degree(2) > tol * scale:
+        if self.max_coeff_above_degree(2) > COMPOSE_TOL * scale:
             return None
         n = self.dim
         const = np.zeros(n)
@@ -444,20 +434,20 @@ def has_quadratic_inverse(m, tol=DEFAULT_TOL):
     return triple_identity_residual(squad) <= tol
 
 
-def invert_quadratic(m, tol=DEFAULT_TOL):
+def invert_quadratic(m):
     """Quadratic inverse of f = T o S, namely S^{-1} o T^{-1}.
 
     S^{-1}(x) = x - 0.5 M(x) x, exact in coefficients; the result composes
     with ``m`` to the identity up to floating-point roundoff.
     """
-    if not has_quadratic_inverse(m, tol):
+    if not has_quadratic_inverse(m):
         raise NoQuadraticInverseError("map has no quadratic inverse")
     T, S = m.standard_part()
     S_inv = QuadMap.standard_form(-S.quad)
     return S_inv.before_affine(T.inverse())
 
 
-def compose(f, g, tol=COMPOSE_TOL):
+def compose(f, g):
     """Exact polynomial composition f o g (g applied first).
 
     Returns an AffineMap or QuadMap whenever the degree allows it (in
@@ -497,5 +487,5 @@ def compose(f, g, tol=COMPOSE_TOL):
         for e, c in _poly_mul(comps[i], comps[j]).items():
             _add(e, c * coef)
     result = PolyMap(n, out)
-    q = result.as_quadmap(tol)
+    q = result.as_quadmap()
     return result if q is None else q

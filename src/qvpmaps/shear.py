@@ -41,6 +41,10 @@ _PROBES = [
     (1.0, 1.0, 1.0),
 ]
 
+#: extract_shear: relative tolerance of the proportionality A_i = v_i P and
+#: of P v = 0
+SHEAR_RTOL = 1e-8
+
 
 def _normalize(v, P):
     """Canonical (v, P): |v| = 1, first nonzero component positive."""
@@ -66,13 +70,13 @@ class ShearData:
     v: np.ndarray
     P: np.ndarray
 
-    def __post_init__(self, tol=DEFAULT_TOL):
+    def __post_init__(self):
         v, P = _normalize(self.v, self.P)
         if v.shape != (3,) or P.shape != (3, 3):
             raise ShearConstraintError("ShearData is specific to R^3")
         P = 0.5 * (P + P.T)
         pv = np.linalg.norm(P @ v)
-        if pv > tol * max(1.0, np.max(np.abs(P))):
+        if pv > DEFAULT_TOL * max(1.0, np.max(np.abs(P))):
             raise ShearConstraintError(f"P v = 0 violated (|Pv| = {pv:.3g})")
         v.setflags(write=False)
         P.setflags(write=False)
@@ -93,7 +97,7 @@ def build_shear(data):
     return QuadMap.standard_form(quad)
 
 
-def extract_shear(m, rtol=1e-8, tol=DEFAULT_TOL):
+def extract_shear(m):
     """Recover (v, P) from a standard-form map in R^3, or tag the failure.
 
     Returns ShearData when all A_i are a common symmetric P scaled by the
@@ -104,17 +108,17 @@ def extract_shear(m, rtol=1e-8, tol=DEFAULT_TOL):
     """
     if m.dim != 3:
         raise MapError("shear extraction is specific to R^3")
-    if not m.is_standard_form(tol):
+    if not m.is_standard_form():
         raise MapError("extract_shear expects a standard-form map")
     A = m.quad
     amax = float(np.max(np.abs(A)))
-    if amax <= tol:
+    if amax <= DEFAULT_TOL:
         return AFFINE
 
     v_dir = None
     for probe in _PROBES:
         q = 0.5 * np.einsum("ijk,j,k->i", A, probe, probe)
-        if np.linalg.norm(q) > tol * max(1.0, amax):
+        if np.linalg.norm(q) > DEFAULT_TOL * max(1.0, amax):
             v_dir = q
             break
     if v_dir is None:
@@ -126,9 +130,9 @@ def extract_shear(m, rtol=1e-8, tol=DEFAULT_TOL):
         return NOT_A_SHEAR
     P = A[pivot] / v[pivot]
     for i in range(3):
-        if np.max(np.abs(A[i] - v[i] * P)) > rtol * amax:
+        if np.max(np.abs(A[i] - v[i] * P)) > SHEAR_RTOL * amax:
             return NOT_A_SHEAR
-    if np.linalg.norm(P @ v) > rtol * max(1.0, np.max(np.abs(P))):
+    if np.linalg.norm(P @ v) > SHEAR_RTOL * max(1.0, np.max(np.abs(P))):
         return NOT_A_SHEAR
     try:
         return ShearData(v, P)

@@ -15,6 +15,10 @@ import numpy as np
 from .polymap import AffineMap, MapError, QuadMap, _basis_matrices
 
 KERNEL_RTOL = 1e-8
+#: Threshold of every symplectic identity check: the three degrees of
+#: Df^T J Df = J, the shear residual of M(x)^2 = 0, and the standard form
+#: of a shear.
+SYMPLECTIC_TOL = 1e-9
 
 
 class SymplecticError(MapError):
@@ -29,35 +33,14 @@ def standard_j(half_dim):
     return J
 
 
-@dataclass(frozen=True)
-class SymplecticContext:
-    """Half-dimension n and the standard form matrix J on R^{2n}."""
-
-    half_dim: int
-
-    @property
-    def J(self):
-        return standard_j(self.half_dim)
-
-    @property
-    def dim(self):
-        return 2 * self.half_dim
-
-    def omega(self, u, v):
-        return float(np.asarray(u) @ self.J @ np.asarray(v))
-
-
-def _context_for(m, ctx):
-    if ctx is not None:
-        if m.dim != ctx.dim:
-            raise SymplecticError("context dimension does not match the map")
-        return ctx
+def _standard_j_for(m):
+    """standard_j on the map's space, whose dimension must be even."""
     if m.dim % 2:
         raise SymplecticError("symplectic maps need even dimension")
-    return SymplecticContext(m.dim // 2)
+    return standard_j(m.dim // 2)
 
 
-def is_symplectic(m, ctx=None, tol=1e-9):
+def is_symplectic(m):
     """Df(x)^T J Df(x) == J identically, expanded by polynomial degree.
 
     Degree 0 is L^T J L = J; degree 1 gives L^T J M_k + M_k^T J L = 0 for
@@ -66,11 +49,10 @@ def is_symplectic(m, ctx=None, tol=1e-9):
     product over the M_k, and each term's max is held to its threshold; a NaN
     term fails it.
     """
-    ctx = _context_for(m, ctx)
-    J = ctx.J
+    J = _standard_j_for(m)
     L = m.linear
     scale = max(1.0, float(np.max(np.abs(L))) ** 2)
-    if not np.max(np.abs(L.T @ J @ L - J)) <= tol * scale:
+    if not np.max(np.abs(L.T @ J @ L - J)) <= SYMPLECTIC_TOL * scale:
         return False
     # mats[k] is the view quad[:, :, k], so each slice of a stacked product
     # runs the kernel that slice alone runs and every term keeps its bits
@@ -79,12 +61,12 @@ def is_symplectic(m, ctx=None, tol=1e-9):
     mt_j = mats.transpose(0, 2, 1) @ J
     deg1 = L.T @ J @ mats + mt_j @ L
     lmax = max(1.0, float(np.max(np.abs(L))))
-    if not np.all(np.max(np.abs(deg1), axis=(1, 2)) <= tol * mscale * lmax):
+    if not np.all(np.max(np.abs(deg1), axis=(1, 2)) <= SYMPLECTIC_TOL * mscale * lmax):
         return False
     prods = mt_j[:, None] @ mats[None]
     i, j = np.triu_indices(len(mats))
     deg2 = prods[i, j] + prods[j, i]
-    return bool(np.all(np.max(np.abs(deg2), axis=(1, 2)) <= tol * mscale**2))
+    return bool(np.all(np.max(np.abs(deg2), axis=(1, 2)) <= SYMPLECTIC_TOL * mscale**2))
 
 
 def shear_square_residual(quad):
@@ -97,15 +79,14 @@ def shear_square_residual(quad):
     return float(np.max(np.abs(prods[i, j] + prods[j, i]), initial=0.0)) / 2
 
 
-def symplectic_decompose(m, ctx=None, tol=1e-9):
+def symplectic_decompose(m):
     """Split a quadratic symplectic map as T o S with T affine symplectic and
     S a symplectic quadratic shear (certified by M(x)^2 == 0)."""
-    ctx = _context_for(m, ctx)
-    if not is_symplectic(m, ctx, tol):
+    if not is_symplectic(m):
         raise SymplecticError("map is not symplectic")
     T, S = m.standard_part()
     res = shear_square_residual(S.quad)
-    if not res <= tol:
+    if not res <= SYMPLECTIC_TOL:
         raise SymplecticError(
             f"standard part violates M(x)^2 == 0 (residual {res:.3g})"
         )
@@ -148,12 +129,12 @@ class GradientShearForm:
         return QuadMap.standard_form(quad)
 
 
-def _common_kernel(stacked, rtol=KERNEL_RTOL):
+def _common_kernel(stacked):
     """Basis of the common null space of the matrices stacked as rows."""
     u, s, vt = np.linalg.svd(stacked)
     if s.size == 0 or s[0] == 0.0:
         return np.eye(stacked.shape[1])
-    keep = s <= rtol * s[0]
+    keep = s <= KERNEL_RTOL * s[0]
     null = vt[len(s) :].T
     extra = vt[: len(s)][keep].T
     if extra.size:
@@ -243,7 +224,7 @@ def _is_gradient_form(S, n, tol=1e-11):
     ) <= tol
 
 
-def shear_to_gradient_form(S, ctx=None, tol=1e-9):
+def shear_to_gradient_form(S):
     """Conjugate a symplectic quadratic shear to (q + 0.5 B(p) p, p).
 
     Computes the common null space N of the basis matrices M_k, certifies
@@ -252,12 +233,12 @@ def shear_to_gradient_form(S, ctx=None, tol=1e-9):
     quadratic tensor is read off and its block structure and symmetry are
     verified.
     """
-    ctx = _context_for(S, ctx)
-    n, J = ctx.half_dim, ctx.J
-    if not S.is_standard_form(1e-9):
+    J = _standard_j_for(S)
+    n = S.dim // 2
+    if not S.is_standard_form(SYMPLECTIC_TOL):
         raise SymplecticError("gradient-form reduction expects a standard-form shear")
     res = shear_square_residual(S.quad)
-    if not res <= tol:
+    if not res <= SYMPLECTIC_TOL:
         raise SymplecticError(f"not a shear: M(x)^2 residual {res:.3g}")
 
     if _is_gradient_form(S, n):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -261,6 +262,34 @@ def test_diagram_deterministic_and_svg(tmp_path):
         l for l in out1.read_text().splitlines() if not l.startswith("#")
     ][0]
     assert header == "tau,alpha,count,class_plus,class_minus,phase_plus"
+
+
+@pytest.mark.parametrize("argv, corner", [
+    (["--nx", "1", "--ny", "3"], 'x="0.00"'),
+    (["--nx", "3", "--ny", "1"], 'y="0.00"'),
+    (["--plane", "t_s", "--nx", "1", "--ny", "1"], 'x="0.00" y="0.00"'),
+], ids=["one-column", "one-row", "one-cell"])
+def test_diagram_svg_of_a_one_point_axis(tmp_path, argv, corner):
+    # a one-point axis puts its cells at the centre, so they span the image
+    svg = tmp_path / "d.svg"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["diagram", *argv, "--out", str(tmp_path / "d.csv"), "--svg", str(svg)]) == 0
+    text = svg.read_text()
+    rects = [line for line in text.splitlines() if line.startswith("<rect")]
+    assert rects and all(corner in line for line in rects)
+    assert "nan" not in text
+
+
+@pytest.mark.parametrize("argv", [["--nx", "0"], ["--nx", "-3"], ["--plane", "t_s", "--ny", "0"]],
+                         ids=["nx=0", "nx=-3", "t_s-ny=0"])
+def test_diagram_empty_grid_is_one_error_line(tmp_path, argv):
+    out = tmp_path / "d.csv"
+    cp = run_cli("diagram", *argv, "--out", out)
+    assert cp.returncode == 1
+    lines = cp.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "nx" in lines[0], cp.stderr
+    assert not out.exists()
 
 
 def test_manifold_outputs(tmp_path):

@@ -1,4 +1,5 @@
-"""Property tests of fixed_points over random normalized forms and parameters."""
+"""Property tests of fixed_points, step_back and the reversor over random
+normalized forms, parameters and points."""
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from qvpmaps.dynamics import (  # noqa: E402
     TYPE_B,
     GenericMapParams,
     fixed_points,
+    reversor_for,
 )
 
 coeff = st.floats(-2.0, 2.0, allow_nan=False)
@@ -40,3 +42,25 @@ def test_fixed_point_reports(a, b, alpha, tau, sigma):
             outside = int(np.sum(np.abs(lam) > 1.0))
             assert fp.classification == (TYPE_A if outside == 1 else TYPE_B)
             assert outside in (1, 2)
+
+
+point = st.tuples(*[st.floats(-2.0, 2.0, allow_nan=False)] * 3).map(np.array)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(a=coeff, b=coeff, alpha=param, tau=param, sigma=param, x=point)
+def test_step_back_inverts_step(a, b, alpha, tau, sigma, x):
+    p = GenericMapParams.make(alpha, tau, sigma, a, b, 1.0 - a - b)
+    fx = p.step(x)
+    # the map's quadratic term makes the roundoff of f(x) scale with |f(x)|^2
+    assert np.max(np.abs(p.step_back(fx) - x)) <= 1e-13 * (1.0 + np.max(np.abs(fx)) ** 2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(a=coeff, alpha=param, tau=param, sigma=param, x=point)
+def test_reversor_conjugates_step_to_step_back(a, alpha, tau, sigma, x):
+    p = GenericMapParams.make(alpha, tau, sigma, a, 1.0 - 2.0 * a, a)
+    h = reversor_for(p)
+    fx = p.step(x)
+    scale = 1.0 + np.max(np.abs(fx)) ** 2 + h.eta**2
+    assert np.max(np.abs(h(fx) - p.step_back(h(x)))) <= 1e-13 * scale

@@ -4,7 +4,6 @@ import pytest
 from qvpmaps import (
     AffineMap,
     QuadMap,
-    SymplecticContext,
     is_symplectic,
     shear_to_gradient_form,
     symplectic_decompose,
@@ -24,8 +23,7 @@ from util import (
 
 
 def test_context_invariants():
-    ctx = SymplecticContext(2)
-    J = ctx.J
+    J = standard_j(2)
     assert np.array_equal(J @ J, -np.eye(4))
     assert np.array_equal(J.T, -J)
 
