@@ -44,11 +44,7 @@ from .normalform import (
 from .polymap import DEFAULT_TOL, MapError, QuadMap
 from .polymap import has_quadratic_inverse, is_volume_preserving
 from .shear import AFFINE, NOT_A_SHEAR, extract_shear
-from .symplectic import (
-    is_symplectic,
-    shear_to_gradient_form,
-    symplectic_decompose,
-)
+from .symplectic import is_symplectic, shear_to_gradient_form
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -249,8 +245,7 @@ def cmd_classify(args):
             ok = is_symplectic(m)
             report["symplectic"] = bool(ok)
             if ok:
-                T, S = symplectic_decompose(m)
-                form = shear_to_gradient_form(S)
+                form = shear_to_gradient_form(m.standard_part()[1])
                 report["B"] = form.bcoef.tolist()
                 report["lambda"] = form.lam.tolist()
             else:

@@ -545,6 +545,14 @@ def bisect_sign_changes(side, grid, values, rtol=0.0):
     return (lo + hi) / 2
 
 
+def _fix_line_grid(bracket, samples):
+    """samples evenly spaced values of s over the bracket, ends included: the
+    scan grid of the searches along Fix(h)."""
+    if int(samples) < 0:
+        raise DynamicsError(f"samples must be at least 0 (got {samples})")
+    return np.linspace(bracket[0], bracket[1], int(samples))
+
+
 def symmetric_orbit_search(p, r, period, bracket, samples=10_000):
     """Symmetric periodic points found by a 1D search along Fix(h).
 
@@ -579,7 +587,7 @@ def symmetric_orbit_search(p, r, period, bracket, samples=10_000):
             live = live[ok]
         return pt
 
-    grid = np.linspace(bracket[0], bracket[1], int(samples))
+    grid = _fix_line_grid(bracket, samples)
     scan = defects(half_orbit(grid))
     roots = np.concatenate([
         bisect_sign_changes(

@@ -15,7 +15,7 @@ pruned Hausdorff distance.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -23,6 +23,8 @@ from .dynamics import (
     DynamicsError,
     FixedPointReport,
     GenericMapParams,
+    _fix_line_grid,
+    _libm_pow,
     bisect_sign_changes,
     escape_bound,
     fixed_points,
@@ -163,10 +165,17 @@ def grow_2d(p, fp, kind, eps=None, depth=6, refine=None, ring_points=64):
     consecutive rings differ by a small rotation/scaling; ring k + subrings is
     the exact image of ring k under the map (unstable) or its inverse
     (stable).  Ring edges longer than ``refine`` are split by inserting the
-    seed-parameter midpoint and pushing it forward, up to 4096 points a ring.
-    Growth is truncated with a flag when a ring leaves the bounding box (the
-    escape cube scaled by 1.5 when Q is positive definite, none otherwise).
+    seed-parameter midpoint and pushing the ring forward again, in passes
+    over the whole ring.  No pass starts at 4096 points or more, so the last
+    one can leave up to nearly twice that.  Growth is truncated with a flag
+    when a ring leaves the bounding box (the escape cube scaled by 1.5 when
+    Q is positive definite, none otherwise).
     """
+    if ring_points < 1:
+        raise ManifoldError(f"ring_points must be at least 1 (got {ring_points})")
+    for name, value in (("eps", eps), ("refine", refine)):
+        if value is not None and not 0.0 < value < math.inf:
+            raise ManifoldError(f"{name} must be finite and positive (got {value})")
     split = linear_data(p, fp)
     vals, basis = split.subspace(kind)
     if basis.shape[1] != 2:
@@ -202,23 +211,24 @@ def grow_2d(p, fp, kind, eps=None, depth=6, refine=None, ring_points=64):
 
     def ring(k, phis):
         """Vertices of ring k at seed parameters phis: the seeds on sub-ring
-        k % m, pushed k // m steps together."""
-        seeds = []
-        for phi in phis:
-            c = eps * np.array([math.cos(phi), math.sin(phi)])
-            if fracs is not None:
-                c = fracs[k % m] @ c
-            seeds.append(x_star + basis @ c)
-        pts = np.array(seeds)
+        k % m, pushed k // m steps together.  The seeds are (n, 2, 1) and
+        (n, 3, 1) stacks, so each row is the one-point product bit for bit;
+        TestGrowParity checks that np.cos and np.sin give math.cos and
+        math.sin, which the seeds were built from one point at a time."""
+        c = eps * np.stack([np.cos(phis), np.sin(phis)], -1)[..., None]
+        if fracs is not None:
+            c = fracs[k % m] @ c
+        pts = x_star + (basis @ c)[..., 0]
         for _ in range(k // m):
             pts = step(pts)
         return pts
 
     # rotation of the seed parameter per sub-ring, so bands are stitched
     # between physically adjacent vertices despite the spiral
-    one = fracs[1] if (fracs is not None and m > 1) else B
-    spin = math.atan2(one[1, 0], one[0, 0]) if complex_pair else 0.0
-    if fracs is None and complex_pair:
+    spin = 0.0
+    if complex_pair and m > 1:
+        spin = math.atan2(fracs[1][1, 0], fracs[1][0, 0])
+    elif complex_pair:
         spin = float(np.angle(lam_growth[0]))
 
     n_rings = m * (depth + 1)
@@ -247,61 +257,44 @@ def grow_2d(p, fp, kind, eps=None, depth=6, refine=None, ring_points=64):
     if len(rings_pts) < 2:
         raise ManifoldError("bounding box truncated the mesh before one band")
 
-    offsets = np.cumsum([0] + [len(r) for r in rings_pts])
+    sizes = [len(r) for r in rings_pts]
+    offsets = np.cumsum([0] + sizes)
     vertices = np.vstack(rings_pts)
     phi_all = np.concatenate(rings_phi)
-    ring_idx = np.concatenate(
-        [np.full(len(r), k) for k, r in enumerate(rings_pts)]
-    )
+    ring_idx = np.repeat(np.arange(len(sizes)), sizes)
     gen = ring_idx // m
-    tris = []
+    bands = []
     for k in range(len(rings_pts) - 1):
         adj_a = (rings_phi[k] + k * spin) % (2 * math.pi)
         adj_b = (rings_phi[k + 1] + (k + 1) * spin) % (2 * math.pi)
         order_a = np.argsort(adj_a, kind="stable")
         order_b = np.argsort(adj_b, kind="stable")
-        tris.extend(
-            _stitch_band(
-                adj_a[order_a],
-                offsets[k] + order_a,
-                adj_b[order_b],
-                offsets[k + 1] + order_b,
-            )
-        )
+        bands.append(_stitch_band(
+            adj_a[order_a], offsets[k] + order_a, adj_b[order_b], offsets[k + 1] + order_b,
+        ))
     return ManifoldMesh(
-        vertices=vertices, triangles=np.asarray(tris, dtype=int), generation=gen, phi=phi_all,
+        vertices=vertices, triangles=np.concatenate(bands), generation=gen, phi=phi_all,
         ring_of_vertex=ring_idx, fixed_point=fp, kind=kind, eps=float(eps), depth=int(depth),
         subrings=m, truncated=truncated, params=p,
     )
 
 
 def _stitch_band(pa, idx_a, pb, idx_b):
-    """Triangle strip between two angle-sorted rings.
+    """Triangle strip between two angle-sorted rings, as an (n, 3) array.
 
-    pa/pb are sorted angles, idx_a/idx_b the matching global vertex indices;
-    the walk advances whichever ring has the smaller next angle, producing
-    len(pa) + len(pb) triangles covering the band.
+    pa/pb are sorted angles, idx_a/idx_b the matching global vertex indices.
+    A walk round the band advances whichever ring has the smaller next angle
+    (ring a on ties), producing len(pa) + len(pb) triangles covering it: so
+    the steps are one stable merge of the two rings' next angles, and each
+    ring's position at a step is the count of its earlier steps.
     """
     na, nb = len(pa), len(pb)
-    tris = []
-    ia = ib = 0
-    ca = cb = 0
-    while ca < na or cb < nb:
-        pa_next = pa[(ia + 1) % na] + (2 * math.pi if ia + 1 >= na else 0.0)
-        pb_next = pb[(ib + 1) % nb] + (2 * math.pi if ib + 1 >= nb else 0.0)
-        if ca < na and (cb >= nb or pa_next <= pb_next):
-            tris.append(
-                (idx_a[ia % na], idx_b[ib % nb], idx_a[(ia + 1) % na])
-            )
-            ia += 1
-            ca += 1
-        else:
-            tris.append(
-                (idx_a[ia % na], idx_b[ib % nb], idx_b[(ib + 1) % nb])
-            )
-            ib += 1
-            cb += 1
-    return tris
+    nxt = np.concatenate([pa[1:], pa[:1] + 2 * math.pi, pb[1:], pb[:1] + 2 * math.pi])
+    is_a = np.argsort(nxt, kind="stable") < na
+    ia = np.cumsum(is_a) - is_a
+    ib = np.arange(na + nb) - ia
+    third = np.where(is_a, idx_a[(ia + 1) % na], idx_b[(ib + 1) % nb])
+    return np.column_stack([idx_a[ia % na], idx_b[ib % nb], third])
 
 
 @dataclass
@@ -313,7 +306,6 @@ class ManifoldBranch:
     sign: int
     kind: str
     fixed_point: FixedPointReport
-    double_step: bool = False
     truncated: bool = False
 
 
@@ -323,10 +315,11 @@ def grow_1d(p, fp, kind, eps=None, depth=8, seed_points=8):
     Each branch starts from a fundamental segment [eps, |lambda| eps] along
     the eigenvector (geometric spacing) and is extended generation by
     generation; gaps longer than 0.25 eps times the growth over depth + 1
-    steps insert seed-parameter midpoints, up to 20000 points a branch.  A
-    branch is cut at its first point outside grow_2d's bounding box.
-    A negative multiplier swaps the branches under one step, so growth then
-    uses the second iterate per branch.
+    steps insert seed-parameter midpoints, in passes over the whole branch.
+    No pass starts at 20000 points or more, so the last one can leave up to
+    nearly twice that.  A branch is cut at its first point outside grow_2d's
+    bounding box.  A negative multiplier swaps the branches under one step,
+    so growth then uses the second iterate per branch.
     """
     split = linear_data(p, fp)
     vals, basis = split.subspace(kind)
@@ -336,8 +329,7 @@ def grow_1d(p, fp, kind, eps=None, depth=8, seed_points=8):
     lam = vals[0].real
     step = p.step if kind == "unstable" else p.step_back
     growth = lam if kind == "unstable" else 1.0 / lam
-    double = growth < 0
-    if double:
+    if growth < 0:
         base_step = step
         step = lambda pt: base_step(base_step(pt))
         growth = growth * growth
@@ -349,52 +341,46 @@ def grow_1d(p, fp, kind, eps=None, depth=8, seed_points=8):
 
     branches = []
     for sign in (+1, -1):
-        def push(entries):
-            """The points of (g, s) entries: the seeds at s stepped in
-            lockstep, each row stopping at its own generation g."""
-            gens = np.array([g for g, _ in entries])
-            pts = np.array([fp.location + sign * eps * growth**s * w for _, s in entries])
+        def push(gens, s):
+            """The points at generations gens and seed parameters s: the
+            seeds at s stepped in lockstep, each row stopping at its own
+            generation.  The seeds take growth ** s by the C library's pow,
+            as a Python float does."""
+            pts = fp.location + (sign * eps * _libm_pow(growth, s))[:, None] * w
             for g in range(1, gens.max() + 1):
                 live = gens >= g
                 pts[live] = step(pts[live])
             return pts
 
-        entries = []  # (g, s)
-        for g in range(depth + 1):
-            for s in np.linspace(0.0, 1.0, seed_points, endpoint=False):
-                entries.append((g, float(s)))
-        pts = push(entries)
+        gens = np.repeat(np.arange(depth + 1), seed_points)
+        s = np.tile(np.linspace(0.0, 1.0, seed_points, endpoint=False), depth + 1)
+        pts = push(gens, s)
         truncated = False
-        # refinement on the chained polyline
-        changed = True
-        while changed and len(entries) < 20000:
-            changed = False
-            new_entries = []
-            for i in range(len(entries)):
-                new_entries.append(entries[i])
-                if i + 1 >= len(entries):
-                    break
-                if np.linalg.norm(pts[i + 1] - pts[i]) > refine:
-                    g1, s1 = entries[i]
-                    g2, s2 = entries[i + 1]
-                    if g1 == g2:
-                        new_entries.append((g1, 0.5 * (s1 + s2)))
-                    else:
-                        new_entries.append((g1, 0.5 * (s1 + 1.0)))
-                    changed = True
-            if changed:
-                entries = sorted(set(new_entries))
-                pts = push(entries)
+        # refinement on the chained polyline: a midpoint in each long gap,
+        # the next generation's start standing at s = 1 of the one before
+        while len(s) < 20000:
+            gap = pts[1:] - pts[:-1]
+            long = np.sqrt(np.vecdot(gap, gap)) > refine
+            if not long.any():
+                break
+            mid = 0.5 * (s[:-1] + np.where(gens[:-1] == gens[1:], s[1:], 1.0))
+            entries = np.unique(np.rec.fromarrays(
+                [np.concatenate([gens, gens[:-1][long]]), np.concatenate([s, mid[long]])],
+                names="g, s",
+            ))
+            if len(entries) == len(s):  # every midpoint rounds onto an entry
+                break
+            gens, s = entries["g"], entries["s"]
+            pts = push(gens, s)
         if box is not None:
             inside = np.max(np.abs(pts), axis=1) <= box
             if not inside.all():
                 cut = int(np.argmin(inside))
-                pts = pts[:cut]
-                entries = entries[:cut]
+                pts, gens = pts[:cut], gens[:cut]
                 truncated = True
         branches.append(ManifoldBranch(
-            points=pts, generation=np.asarray([g for g, _ in entries]), sign=sign, kind=kind,
-            fixed_point=fp, double_step=double, truncated=truncated))
+            points=pts, generation=gens, sign=sign, kind=kind, fixed_point=fp,
+            truncated=truncated))
     return branches[0], branches[1]
 
 
@@ -619,11 +605,9 @@ class HeteroclinicCurve:
     """Oriented polyline in the intersection of two manifold meshes."""
 
     points: np.ndarray
-    closed: bool
     crosses_fix: bool = False
     fix_point: np.ndarray | None = None
     tangent_at_fix: np.ndarray | None = None
-    endpoint_info: dict = field(default_factory=dict)
 
     def length(self):
         return float(
@@ -668,18 +652,7 @@ def intersect_meshes(mesh_a, mesh_b, reversor=None):
     edge_bound = max(mesh_a.edge_length_bound(), mesh_b.edge_length_bound())
     curves = []
     for pts in polylines:
-        closed = bool(np.linalg.norm(pts[0] - pts[-1]) <= 10 * STITCH_TOL)
-        info = {}
-        if not closed:
-            for name, end in (("start", pts[0]), ("end", pts[-1])):
-                d_a = float(np.linalg.norm(end - mesh_a.fixed_point.location))
-                d_b = float(np.linalg.norm(end - mesh_b.fixed_point.location))
-                info[name] = {
-                    "point": end.tolist(),
-                    f"dist_{mesh_a.kind}_fp": d_a,
-                    f"dist_{mesh_b.kind}_fp": d_b,
-                }
-        curve = HeteroclinicCurve(points=pts, closed=closed, endpoint_info=info)
+        curve = HeteroclinicCurve(points=pts)
         if reversor is not None:
             _flag_fix_crossing(curve, reversor, mesh_a, mesh_b, edge_bound)
         curves.append(curve)
@@ -972,7 +945,7 @@ def heteroclinic_from_symmetry(p, r, bracket, samples=600):
     (as on x86-64 Linux); where it is float64 the search runs in double.
     """
     episode_sides, certify = _heteroclinic_stages(p, r)
-    grid = np.linspace(bracket[0], bracket[1], int(samples)).astype(np.longdouble)
+    grid = _fix_line_grid(bracket, samples).astype(np.longdouble)
     roots = bisect_sign_changes(episode_sides, grid, episode_sides(grid))
     hits = []
     for s_root, f, b in zip(roots, *certify(roots)):

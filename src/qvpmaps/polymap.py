@@ -92,9 +92,6 @@ class AffineMap:
         x = _points(x, self.dim)
         return (self.linear @ x[..., None])[..., 0] + self.const
 
-    def det(self):
-        return float(np.linalg.det(self.linear))
-
     def inverse(self):
         Li = np.linalg.inv(self.linear)
         return AffineMap(Li, -Li @ self.const)

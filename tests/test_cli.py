@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -140,6 +142,33 @@ def test_classify_symplectic(tmp_path):
     assert B.shape == (2, 2, 2)
     lam = np.asarray(rep["lambda"])
     assert lam.shape == (4, 4)
+
+
+def test_classify_symplectic_certifies_once(tmp_path, monkeypatch):
+    # one is_symplectic certificate and one M(x)^2 = 0 residual per map
+    from qvpmaps import symplectic
+
+    calls = []
+
+    def counted(name):
+        real = getattr(symplectic, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(symplectic, name, wrapper)
+        if hasattr(cli, name):
+            monkeypatch.setattr(cli, name, wrapper)
+
+    counted("is_symplectic")
+    counted("shear_square_residual")
+    f, *_ = random_symplectic_quadmap(np.random.default_rng(91), 2)
+    path = write_map(tmp_path / "symp.json", f)
+    out = tmp_path / "rep.json"
+    assert main(["classify", str(path), "--symplectic", "--out", str(out)]) == 0
+    assert sorted(calls) == ["is_symplectic", "shear_square_residual"]
+    assert np.asarray(json.loads(out.read_text())["B"]).shape == (2, 2, 2)
 
 
 def test_normal_form_file(tmp_path):
@@ -306,6 +335,25 @@ def test_manifold_outputs(tmp_path):
     assert obj[0].startswith("#")
     assert any(l.startswith("v ") for l in obj)
     assert any(l.startswith("f ") for l in obj)
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["manifold", "--ring-points", "0"], "ring_points"),
+    (["manifold", "--ring-points", "-3"], "ring_points"),
+    (["manifold", "--eps", "nan"], "eps"),
+    (["manifold", "--refine", "inf"], "refine"),
+    (["symmetric", "--heteroclinic", "--samples", "-4"], "samples"),
+    (["symmetric", "--period", "4", "--samples", "-4"], "samples"),
+], ids=["ring-points=0", "ring-points=-3", "eps=nan", "refine=inf", "heteroclinic-samples=-4",
+        "period-samples=-4"])
+def test_out_of_range_inputs_are_one_error_line(tmp_path, argv, name):
+    out = tmp_path / "out.csv"
+    where = ["--prefix", tmp_path / "m"] if argv[0] == "manifold" else ["--out", out]
+    cp = run_cli(*argv, "--alpha", 0.0, "--tau", -0.3, *where)
+    assert cp.returncode == 1
+    lines = cp.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and name in lines[0], cp.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_symmetric_search_cli(tmp_path):
@@ -578,3 +626,40 @@ class TestWriterParity:
             assert "%.2f" % x == format(x, ".2f")
 
         check()
+
+
+# --------------------------------------------------------------------------
+# The figure outputs against the digests the benchmark recorded
+
+BENCH_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+F2_FLAGS = ["--alpha", "0", "--tau", "-0.3", "--a", "0.5", "--b", "0", "--c", "0.5"]
+
+
+@pytest.mark.skipif(
+    not (sys.platform.startswith("linux") and platform.machine() in ("x86_64", "AMD64")),
+    reason="the recorded digests are of x86-64 Linux outputs",
+)
+def test_figure_outputs_match_benchmark_digests(tmp_path, monkeypatch):
+    """The benchmark's fig2 mesh, diagram and period-4 commands write the
+    files it recorded, byte for byte (het.csv, one ulp off since its
+    recording, is not run)."""
+    argvs = [
+        ["manifold", *F2_FLAGS, "--eps", "0.36", "--depth", "8", "--ring-points", "64",
+         "--prefix", "fig2"],
+        ["diagram", "--a", "0.5", "--b", "0", "--c", "0.5", "--nx", "100", "--ny", "100",
+         "--out", "fig3.csv", "--svg", "fig3.svg"],
+        ["diagram", "--a", "-0.5", "--b", "1", "--c", "0.5", "--nx", "100", "--ny", "100",
+         "--out", "fig4.csv", "--svg", "fig4.svg"],
+        ["diagram", "--plane", "t_s", "--nx", "100", "--ny", "100", "--out", "t_s.csv"],
+        ["symmetric", *F2_FLAGS, "--period", "4", "--s-min", "-2", "--s-max", "2",
+         "--samples", "10000", "--out", "period4.csv"],
+    ]
+    want = {}
+    for name in ("fig2-mesh", "diagrams", "symline"):
+        want.update(json.loads((BENCH_REFERENCE / f"{name}.json").read_text())["digests"])
+    del want["het.csv"]
+    monkeypatch.chdir(tmp_path)
+    for argv in argvs:
+        assert main(argv) == 0, argv
+    got = {path: hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()[:12] for path in want}
+    assert got == want

@@ -492,6 +492,13 @@ class TestSymmetricOrbitSearch:
         h = reversor_for(p)
         assert symmetric_orbit_search(p, h, 2, (50.0, 51.0), samples=50) == []
 
+    def test_sample_counts(self):
+        p = params(0.0, -0.3)
+        h = reversor_for(p)
+        assert symmetric_orbit_search(p, h, 4, (-2.0, 2.0), samples=0) == []
+        with pytest.raises(DynamicsError, match="samples"):
+            symmetric_orbit_search(p, h, 4, (-2.0, 2.0), samples=-4)
+
 
 class TestPeriod2Line:
     def test_oracle_roots(self):

@@ -5,6 +5,7 @@ import pytest
 
 from qvpmaps import GenericMapParams, escape_bound, fixed_points, reversor_for
 from qvpmaps import manifold
+from qvpmaps.dynamics import DynamicsError
 from qvpmaps.manifold import (
     ManifoldError,
     ManifoldMesh,
@@ -111,6 +112,16 @@ class TestGrow2D:
         with pytest.raises(ManifoldError):
             grow_2d(p, fps["plus"], "unstable")  # unstable is 1D at x+
 
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(ring_points=0), "ring_points"), (dict(ring_points=-3), "ring_points"),
+        (dict(eps=math.nan), "eps"), (dict(eps=-0.1), "eps"), (dict(eps=0.0), "eps"),
+        (dict(refine=math.inf), "refine"), (dict(refine=0.0), "refine"),
+    ])
+    def test_out_of_range_inputs_rejected(self, fig2, kwargs, name):
+        p, fps = fig2
+        with pytest.raises(ManifoldError, match=name):
+            grow_2d(p, fps["plus"], "stable", depth=1, **kwargs)
+
 
 class TestGrow1D:
     def test_seed_points(self, fig2):
@@ -134,6 +145,15 @@ class TestGrow1D:
             assert np.min(np.linalg.norm(pts - img, axis=1)) < 0.05 * max(
                 1.0, np.linalg.norm(img - fps["plus"].location)
             )
+
+    def test_refinement_stops_when_no_midpoint_is_new(self):
+        # the stable branch folds so sharply that its seed parameters run
+        # out of bits: a pass whose every midpoint rounds onto an entry
+        # would be repeated unchanged for ever
+        p = GenericMapParams.make(-0.14, -1.33, 0.15, 0.61, -0.43, 0.82)
+        fp = next(f for f in fixed_points(p) if f.which == "minus")
+        _, branch = grow_1d(p, fp, "stable", eps=0.04, depth=10, seed_points=6)
+        assert branch.truncated and len(branch.points) < 11 * 6
 
     def test_reversor_maps_unstable_to_stable_branch(self, fig2):
         p, fps = fig2
@@ -346,6 +366,12 @@ class TestHeteroclinicLockstep:
     def test_empty_grid(self, fig2):
         p, _ = fig2
         assert heteroclinic_from_symmetry(p, reversor_for(p), (-0.2, -0.05), samples=1) == []
+
+    def test_sample_counts(self, fig2):
+        p, _ = fig2
+        assert heteroclinic_from_symmetry(p, reversor_for(p), (-0.2, -0.05), samples=0) == []
+        with pytest.raises(DynamicsError, match="samples"):
+            heteroclinic_from_symmetry(p, reversor_for(p), (-0.2, -0.05), samples=-4)
 
 
 # The chunked kernel at its edges: a budget that is no multiple of the chunk
@@ -697,3 +723,272 @@ class TestMeshLayerParity:
 
             x, y = draw(rng.integers(1, 80)), draw(rng.integers(1, 80))
             assert hausdorff_distance(x, y) == scalar_hausdorff_distance(x, y)
+
+
+# --------------------------------------------------------------------------
+# Growth parity: grow_2d and grow_1d against copies of their per-vertex loops
+
+
+def walk_stitch_band(pa, idx_a, pb, idx_b):
+    """The band stitching as a walk that advances whichever ring has the
+    smaller next angle, one triangle at a time."""
+    na, nb = len(pa), len(pb)
+    tris = []
+    ia = ib = 0
+    ca = cb = 0
+    while ca < na or cb < nb:
+        pa_next = pa[(ia + 1) % na] + (2 * math.pi if ia + 1 >= na else 0.0)
+        pb_next = pb[(ib + 1) % nb] + (2 * math.pi if ib + 1 >= nb else 0.0)
+        if ca < na and (cb >= nb or pa_next <= pb_next):
+            tris.append((idx_a[ia % na], idx_b[ib % nb], idx_a[(ia + 1) % na]))
+            ia += 1
+            ca += 1
+        else:
+            tris.append((idx_a[ia % na], idx_b[ib % nb], idx_b[(ib + 1) % nb]))
+            ib += 1
+            cb += 1
+    return tris
+
+
+def reference_grow_2d(p, fp, kind, eps=None, depth=6, refine=None, ring_points=64):
+    """grow_2d with every seed built point by point (math.cos, math.sin and
+    2x2 products) and every band stitched by walk_stitch_band; returns the
+    mesh's arrays and flags as a dict."""
+    vals, basis = linear_data(p, fp).subspace(kind)
+    if basis.shape[1] != 2:
+        raise ManifoldError(f"{kind} subspace is not two-dimensional")
+    step = p.step if kind == "unstable" else p.step_back
+    J = p.jacobian(fp.location)
+    A = J if kind == "unstable" else np.linalg.inv(J)
+    B = np.linalg.lstsq(basis, A @ basis, rcond=None)[0]
+    lam_growth = np.linalg.eigvals(B)
+    rho = float(np.max(np.abs(lam_growth)))
+    if eps is None:
+        eps = 1e-4 * (1.0 + float(np.max(np.abs(fp.location))))
+    box = manifold._default_box(p)
+    if refine is None:
+        refine = 2.5 * (2 * math.pi / ring_points) * eps * rho ** (depth + 1)
+    complex_pair = abs(lam_growth[0].imag) > 1e-12
+    negative_real = np.any((np.abs(lam_growth.imag) < 1e-12) & (lam_growth.real < 0))
+    if negative_real:
+        m = 1
+    elif complex_pair:
+        m = max(1, int(math.ceil(abs(np.angle(lam_growth[0])) / 0.35)))
+    else:
+        m = max(1, int(math.ceil(math.log(max(rho, 1.0 + 1e-12)) / math.log(1.6))))
+    fracs = [manifold._frac_power_2x2(B, j / m) for j in range(m)] if m > 1 else None
+
+    def ring(k, phis):
+        seeds = []
+        for phi in phis:
+            c = eps * np.array([math.cos(phi), math.sin(phi)])
+            if fracs is not None:
+                c = fracs[k % m] @ c
+            seeds.append(fp.location + basis @ c)
+        pts = np.array(seeds)
+        for _ in range(k // m):
+            pts = step(pts)
+        return pts
+
+    one = fracs[1] if (fracs is not None and m > 1) else B
+    spin = math.atan2(one[1, 0], one[0, 0]) if complex_pair else 0.0
+    if fracs is None and complex_pair:
+        spin = float(np.angle(lam_growth[0]))
+    rings_phi, rings_pts, truncated = [], [], False
+    for k in range(m * (depth + 1)):
+        phis = np.linspace(0.0, 2 * math.pi, ring_points, endpoint=False)
+        pts = ring(k, phis)
+        while len(phis) < 4096:
+            edge = np.roll(pts, -1, axis=0) - pts
+            dphi = (np.roll(phis, -1) - phis) % (2 * math.pi)
+            split = (np.sqrt(np.vecdot(edge, edge)) > refine) & (dphi > 1e-12)
+            if not split.any():
+                break
+            phis = np.sort(np.concatenate([phis, phis[split] + dphi[split] / 2.0]) % (2 * math.pi))
+            pts = ring(k, phis)
+        if box is not None and np.max(np.abs(pts)) > box:
+            truncated = True
+            break
+        rings_phi.append(phis)
+        rings_pts.append(pts)
+    if len(rings_pts) < 2:
+        raise ManifoldError("bounding box truncated the mesh before one band")
+    offsets = np.cumsum([0] + [len(r) for r in rings_pts])
+    ring_idx = np.concatenate([np.full(len(r), k) for k, r in enumerate(rings_pts)])
+    tris = []
+    for k in range(len(rings_pts) - 1):
+        adj_a = (rings_phi[k] + k * spin) % (2 * math.pi)
+        adj_b = (rings_phi[k + 1] + (k + 1) * spin) % (2 * math.pi)
+        order_a = np.argsort(adj_a, kind="stable")
+        order_b = np.argsort(adj_b, kind="stable")
+        tris.extend(walk_stitch_band(adj_a[order_a], offsets[k] + order_a,
+                                     adj_b[order_b], offsets[k + 1] + order_b))
+    return dict(vertices=np.vstack(rings_pts), triangles=np.asarray(tris, dtype=int),
+                phi=np.concatenate(rings_phi), generation=ring_idx // m,
+                ring_of_vertex=ring_idx, subrings=m, truncated=truncated)
+
+
+def reference_grow_1d(p, fp, kind, eps=None, depth=8, seed_points=8):
+    """grow_1d with its refinement pass as a loop over (generation, s)
+    entries; returns (points, generation, truncated) per branch."""
+    vals, basis = linear_data(p, fp).subspace(kind)
+    if basis.shape[1] != 1:
+        raise ManifoldError(f"{kind} subspace is not one-dimensional")
+    w = basis[:, 0]
+    lam = vals[0].real
+    step = p.step if kind == "unstable" else p.step_back
+    growth = lam if kind == "unstable" else 1.0 / lam
+    if growth < 0:
+        base_step = step
+        step = lambda pt: base_step(base_step(pt))  # noqa: E731
+        growth = growth * growth
+    growth = abs(growth)
+    if eps is None:
+        eps = 1e-4 * (1.0 + float(np.max(np.abs(fp.location))))
+    box = manifold._default_box(p)
+    refine = 0.25 * eps * growth ** (depth + 1)
+    branches = []
+    for sign in (+1, -1):
+        def push(entries):
+            gens = np.array([g for g, _ in entries])
+            pts = np.array([fp.location + sign * eps * growth**s * w for _, s in entries])
+            for g in range(1, gens.max() + 1):
+                live = gens >= g
+                pts[live] = step(pts[live])
+            return pts
+
+        entries = [(g, float(s)) for g in range(depth + 1)
+                   for s in np.linspace(0.0, 1.0, seed_points, endpoint=False)]
+        pts = push(entries)
+        truncated = False
+        changed = True
+        while changed and len(entries) < 20000:
+            changed = False
+            new_entries = []
+            for i in range(len(entries)):
+                new_entries.append(entries[i])
+                if i + 1 >= len(entries):
+                    break
+                if np.linalg.norm(pts[i + 1] - pts[i]) > refine:
+                    (g1, s1), (g2, s2) = entries[i], entries[i + 1]
+                    new_entries.append((g1, 0.5 * (s1 + (s2 if g1 == g2 else 1.0))))
+                    changed = True
+            if changed:
+                entries = sorted(set(new_entries))
+                pts = push(entries)
+        if box is not None:
+            inside = np.max(np.abs(pts), axis=1) <= box
+            if not inside.all():
+                cut = int(np.argmin(inside))
+                pts, entries, truncated = pts[:cut], entries[:cut], True
+        branches.append((pts, np.asarray([g for g, _ in entries]), truncated))
+    return branches
+
+
+def outcome(grow, *args, **kwargs):
+    """What grow returns, or the class and message of what it raises."""
+    try:
+        return grow(*args, **kwargs)
+    except (ManifoldError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def bits(a):
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def assert_same_mesh(mesh, ref):
+    if isinstance(ref, tuple):
+        assert mesh == ref
+        return
+    for name in ("vertices", "triangles", "phi", "generation", "ring_of_vertex"):
+        assert bits(getattr(mesh, name)) == bits(ref[name]), name
+    assert (mesh.subrings, mesh.truncated) == (ref["subrings"], ref["truncated"])
+
+
+def assert_same_branches(branches, ref):
+    if isinstance(ref, list):
+        assert [(bits(b.points), bits(b.generation), b.truncated, b.sign) for b in branches] == [
+            (bits(pts), bits(gen), truncated, sign) for (pts, gen, truncated), sign in zip(ref, (1, -1))
+        ]
+    else:
+        assert branches == ref
+
+
+#: Parity cases: a parameter set with grow_2d and grow_1d keywords.  fig2's
+#: meshes (complex pairs, so sub-rings) and a refining 1D branch; negative
+#: multipliers (one sub-ring, double-step branches), once with rings refined
+#: past 4096 points and branches refined and cut by the box, once with a
+#: mesh cut by the box; no box at all (indefinite Q); and a branch that
+#: refines to its 20000-point budget before the box cuts it.
+FIG2 = (0.0, -0.3, 0.0, 0.5, 0.0, 0.5)
+NEGATIVE = (-0.3, -2.6, 0.0, 0.5, 0.0, 0.5)
+ESCAPING = (-0.5, 1.5, 0.0, 0.5, 0.0, 0.5)
+GROW_CASES = {
+    "fig2": (FIG2, dict(eps=0.36, depth=8, ring_points=64), dict(eps=0.01, depth=40, seed_points=4)),
+    "negative-refined": (NEGATIVE, dict(eps=0.05, depth=1, ring_points=24, refine=1e-4),
+                         dict(eps=0.1, depth=3, seed_points=8)),
+    "negative-boxed": (NEGATIVE, dict(eps=0.05, depth=10, ring_points=40), dict(depth=2)),
+    "indefinite": ((0.0, -0.3, 0.0, -0.5, 1.0, 0.5), dict(eps=0.05, depth=3, ring_points=32),
+                   dict(depth=12)),
+    "escaping": (ESCAPING, dict(eps=0.05, depth=6, ring_points=40),
+                 dict(eps=0.1, depth=8, seed_points=4)),
+}
+
+
+def grow_case(case):
+    prm, kw2, kw1 = GROW_CASES[case]
+    p = GenericMapParams.make(*prm)
+    return p, {fp.which: fp for fp in fixed_points(p)}, kw2, kw1
+
+
+class TestGrowParity:
+    @pytest.mark.parametrize("case", list(GROW_CASES))
+    def test_every_fixed_point_and_kind(self, case):
+        p, fps, kw2, kw1 = grow_case(case)
+        for fp in fps.values():
+            for kind in ("stable", "unstable"):
+                assert_same_mesh(outcome(grow_2d, p, fp, kind, **kw2),
+                                 outcome(reference_grow_2d, p, fp, kind, **kw2))
+                assert_same_branches(outcome(grow_1d, p, fp, kind, **kw1),
+                                     outcome(reference_grow_1d, p, fp, kind, **kw1))
+
+    def test_branch_budget_without_box(self, monkeypatch):
+        monkeypatch.setattr(manifold, "_default_box", lambda p: None)
+        p, fps, _, kw1 = grow_case("escaping")
+        branches = grow_1d(p, fps["plus"], "unstable", **kw1)
+        assert len(branches[0].points) > 20000
+        assert_same_branches(branches, reference_grow_1d(p, fps["plus"], "unstable", **kw1))
+
+    def test_cases_reach_refinement_budgets_and_box(self):
+        """The cases above run every path of the growth loops."""
+        p, fps, kw2, kw1 = grow_case("fig2")
+        branch = grow_1d(p, fps["plus"], "unstable", **kw1)[0]
+        assert len(branch.points) > 41 * 4 and not branch.truncated  # refined
+        p, fps, kw2, kw1 = grow_case("negative-refined")
+        mesh = grow_2d(p, fps["plus"], "unstable", **kw2)
+        assert np.bincount(mesh.ring_of_vertex).max() > 4096 and mesh.subrings == 1
+        assert all(b.truncated for b in grow_1d(p, fps["plus"], "stable", **kw1))
+        p, fps, kw2, kw1 = grow_case("negative-boxed")
+        assert grow_2d(p, fps["plus"], "unstable", **kw2).truncated
+        assert linear_data(p, fps["minus"]).unstable_values[0].real < 0  # double step
+
+    def test_stitch_band_is_the_walk(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        # angles from a few values, so that the rings tie often, or any in
+        # [0, 2 pi]; rings of one point included
+        angle = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 3.0, 2 * math.pi - 1e-9]),
+                          st.floats(0.0, 2 * math.pi))
+        ring = st.lists(angle, min_size=1, max_size=12).map(lambda v: np.sort(np.array(v)))
+
+        @hyp.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @hyp.given(ring, ring, st.integers(0, 50))
+        def check(pa, pb, gap):
+            idx_a = 7 + np.arange(len(pa))
+            idx_b = idx_a[-1] + 1 + gap + np.arange(len(pb))
+            got = manifold._stitch_band(pa, idx_a, pb, idx_b)
+            want = np.asarray(walk_stitch_band(pa, idx_a, pb, idx_b), dtype=int)
+            assert bits(got) == bits(want)
+
+        check()
