@@ -5,6 +5,7 @@ from .polymap import (
     AffineMap,
     PolyMap,
     QuadMap,
+    QvpmapsError,
     compose,
     has_quadratic_inverse,
     invert_quadratic,

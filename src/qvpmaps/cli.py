@@ -41,7 +41,7 @@ from .normalform import (
     to_normal_form,
     z_dimension,
 )
-from .polymap import DEFAULT_TOL, MapError, QuadMap
+from .polymap import DEFAULT_TOL, QuadMap, QvpmapsError
 from .polymap import has_quadratic_inverse, is_volume_preserving
 from .shear import AFFINE, NOT_A_SHEAR, extract_shear
 from .symplectic import is_symplectic, shear_to_gradient_form
@@ -51,7 +51,7 @@ EXIT_ERROR = 1
 EXIT_PREDICATE = 2
 
 
-class CliError(Exception):
+class CliError(QvpmapsError):
     pass
 
 
@@ -606,13 +606,10 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except PredicateFailure as exc:
         print(f"predicate failure: {exc}", file=sys.stderr)
         return EXIT_PREDICATE
-    except (MapError, DynamicsError) as exc:
+    except QvpmapsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

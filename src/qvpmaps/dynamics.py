@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .normalform import QuadraticForm2, _case1_template
-from .polymap import AffineMap
+from .polymap import AffineMap, QvpmapsError
 
 TYPE_A = "type_A"
 TYPE_B = "type_B"
@@ -35,7 +35,7 @@ FIXED_POINT_TOL = 1e-9
 OVERFLOW_LIMIT = 1e150
 
 
-class DynamicsError(ValueError):
+class DynamicsError(QvpmapsError):
     pass
 
 

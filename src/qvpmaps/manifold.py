@@ -171,6 +171,8 @@ def grow_2d(p, fp, kind, eps=None, depth=6, refine=None, ring_points=64):
     when a ring leaves the bounding box (the escape cube scaled by 1.5 when
     Q is positive definite, none otherwise).
     """
+    if depth < 0:
+        raise ManifoldError(f"depth must be at least 0 (got {depth})")
     if ring_points < 1:
         raise ManifoldError(f"ring_points must be at least 1 (got {ring_points})")
     for name, value in (("eps", eps), ("refine", refine)):
@@ -321,6 +323,10 @@ def grow_1d(p, fp, kind, eps=None, depth=8, seed_points=8):
     bounding box.  A negative multiplier swaps the branches under one step,
     so growth then uses the second iterate per branch.
     """
+    if depth < 0:
+        raise ManifoldError(f"depth must be at least 0 (got {depth})")
+    if seed_points < 1:
+        raise ManifoldError(f"seed_points must be at least 1 (got {seed_points})")
     split = linear_data(p, fp)
     vals, basis = split.subspace(kind)
     if basis.shape[1] != 1:
@@ -363,15 +369,17 @@ def grow_1d(p, fp, kind, eps=None, depth=8, seed_points=8):
             long = np.sqrt(np.vecdot(gap, gap)) > refine
             if not long.any():
                 break
-            mid = 0.5 * (s[:-1] + np.where(gens[:-1] == gens[1:], s[1:], 1.0))
-            entries = np.unique(np.rec.fromarrays(
-                [np.concatenate([gens, gens[:-1][long]]), np.concatenate([s, mid[long]])],
-                names="g, s",
-            ))
+            mid_g = gens[:-1][long]
+            mid = 0.5 * (s[:-1] + np.where(gens[:-1] == gens[1:], s[1:], 1.0))[long]
+            entries, first = np.unique(np.rec.fromarrays(
+                [np.concatenate([gens, mid_g]), np.concatenate([s, mid])], names="g, s",
+            ), return_index=True)
             if len(entries) == len(s):  # every midpoint rounds onto an entry
                 break
             gens, s = entries["g"], entries["s"]
-            pts = push(gens, s)
+            # push works row by row, so the entries kept keep their points
+            # bit for bit and only the midpoints are pushed
+            pts = np.concatenate([pts, push(mid_g, mid)])[first]
         if box is not None:
             inside = np.max(np.abs(pts), axis=1) <= box
             if not inside.all():

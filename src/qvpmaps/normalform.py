@@ -204,7 +204,7 @@ def to_normal_form(m):
     """
     if m.dim != 3:
         raise NormalFormError("normal forms are specific to R^3")
-    cert = is_volume_preserving(m, tol=1e-8)
+    cert = is_volume_preserving(m)
     if not cert:
         raise NormalFormError(
             f"map is not volume preserving ({cert.condition} residual "

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import permutations
 
 import numpy as np
 
@@ -27,7 +27,11 @@ DEFAULT_TOL = 1e-10
 COMPOSE_TOL = 1e-12
 
 
-class MapError(ValueError):
+class QvpmapsError(ValueError):
+    """Root of every error this package raises for a bad map or input."""
+
+
+class MapError(QvpmapsError):
     """Base class for structural errors on polynomial maps."""
 
 
@@ -225,103 +229,33 @@ class QuadMap:
 
 
 class PolyMap:
-    """General polynomial map, used for exact composition oracles.
+    """Polynomial map of degree > 2, what compose returns when the terms of
+    degree 3 and 4 do not vanish.
 
-    Terms are stored as {exponent tuple: coefficient vector}; evaluation and
-    degree bookkeeping are exact in the stored coefficients.
+    ``coeffs[d]`` is the degree-d tensor T_d, symmetric in its last d axes:
+    p(x)_i = sum_d T_d[i, j_1, ..., j_d] x_{j_1} ... x_{j_d}.
     """
 
-    def __init__(self, dim, terms):
-        self.dim = dim
-        self.terms = {
-            e: np.asarray(v, dtype=float)
-            for e, v in terms.items()
-            if np.any(np.asarray(v) != 0.0)
-        }
-        if not self.terms:
-            self.terms = {(0,) * dim: np.zeros(dim)}
-
-    @classmethod
-    def from_quadmap(cls, q):
-        n = q.dim
-        terms = {(0,) * n: q.const.copy()}
-        for j in range(n):
-            e = [0] * n
-            e[j] = 1
-            terms[tuple(e)] = q.linear[:, j].copy()
-        for j in range(n):
-            for k in range(j, n):
-                e = [0] * n
-                e[j] += 1
-                e[k] += 1
-                coef = q.quad[:, j, k] if j != k else 0.5 * q.quad[:, j, j]
-                key = tuple(e)
-                terms[key] = terms.get(key, np.zeros(n)) + coef
-        return cls(n, terms)
+    def __init__(self, coeffs):
+        self.coeffs = coeffs
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.zeros(self.dim)
-        for e, v in self.terms.items():
-            mono = 1.0
-            for xi, p in zip(x, e):
-                if p:
-                    mono *= xi**p
-            out += mono * v
+        out = np.zeros(len(x))
+        for t in self.coeffs:
+            for _ in range(t.ndim - 1):
+                t = t @ x
+            out = out + t
         return out
 
     def degree(self):
-        deg = 0
-        for e, v in self.terms.items():
-            if np.max(np.abs(v)) > 0.0:
-                deg = max(deg, sum(e))
-        return deg
-
-    def max_coeff_above_degree(self, deg):
-        vals = [np.max(np.abs(v)) for e, v in self.terms.items() if sum(e) > deg]
-        return max(vals, default=0.0)
-
-    def as_quadmap(self):
-        """Collapse to a QuadMap if all degree>2 coefficients vanish, else None."""
-        scale = max(
-            [1.0] + [float(np.max(np.abs(v))) for v in self.terms.values()]
-        )
-        if self.max_coeff_above_degree(2) > COMPOSE_TOL * scale:
-            return None
-        n = self.dim
-        const = np.zeros(n)
-        linear = np.zeros((n, n))
-        quad = np.zeros((n, n, n))
-        for e, v in self.terms.items():
-            d = sum(e)
-            if d == 0:
-                const = v.copy()
-            elif d == 1:
-                j = e.index(1)
-                linear[:, j] = v
-            elif d == 2:
-                idx = [j for j, p in enumerate(e) for _ in range(p)]
-                j, k = idx
-                if j == k:
-                    quad[:, j, j] = 2.0 * v
-                else:
-                    quad[:, j, k] = v
-                    quad[:, k, j] = v
-        return QuadMap(const, linear, quad)
+        return max((d for d, t in enumerate(self.coeffs) if np.any(t)), default=0)
 
 
-def _poly_mul(p, q):
-    """Product of scalar polynomials given as {exponent tuple: float}."""
-    out = {}
-    for e1, c1 in p.items():
-        if c1 == 0.0:
-            continue
-        for e2, c2 in q.items():
-            if c2 == 0.0:
-                continue
-            e = tuple(a + b for a, b in zip(e1, e2))
-            out[e] = out.get(e, 0.0) + c1 * c2
-    return out
+def _symmetrized(t):
+    """t averaged over every order of its argument axes (all but the first)."""
+    perms = list(permutations(range(1, t.ndim)))
+    return sum(t.transpose(0, *p) for p in perms) / len(perms)
 
 
 def _basis_matrices(quad):
@@ -445,44 +379,35 @@ def invert_quadratic(m):
 
 
 def compose(f, g):
-    """Exact polynomial composition f o g (g applied first).
+    """Exact polynomial composition f o g (g applied first) of affine and
+    quadratic maps.
 
-    Returns an AffineMap or QuadMap whenever the degree allows it (in
-    particular when degree-3/4 coefficients of a quadratic-quadratic
-    composition vanish identically), otherwise a PolyMap.
+    With g(x) = c + L x + B(x, x)/2 and f's quadratic tensor A,
+    f(g(x)) = f(c + L x) + Df(c) B(x, x)/2 + A(L x, B(x, x))/2
+    + A(B(x, x), B(x, x))/8.  The result is an AffineMap or QuadMap whenever
+    the degree allows it (a quadratic-quadratic composition collapses when
+    its symmetrized degree-3 and degree-4 tensors are at most COMPOSE_TOL
+    times its largest coefficient), otherwise a PolyMap.
     """
+    if isinstance(f, PolyMap) or isinstance(g, PolyMap):
+        raise MapError("compose takes affine and quadratic maps, not a PolyMap")
     if isinstance(f, AffineMap) and isinstance(g, AffineMap):
         return AffineMap(f.linear @ g.linear, f.linear @ g.const + f.const)
     if isinstance(f, AffineMap) and isinstance(g, QuadMap):
         return g.after_affine(f)
     if isinstance(g, AffineMap) and isinstance(f, QuadMap):
         return f.before_affine(g)
-    if isinstance(f, PolyMap):
-        raise NotImplementedError("left factor of degree > 2 is not supported")
-    if isinstance(f, AffineMap):
-        f = f.as_quadmap()
-    gp = g if isinstance(g, PolyMap) else PolyMap.from_quadmap(g)
-    if f.dim != gp.dim:
+    if f.dim != g.dim:
         raise DimensionMismatchError("composition dimensions differ")
-    n = f.dim
-    zero = (0,) * n
-    out = {zero: f.const.copy()}
-
-    def _add(e, vec):
-        if e in out:
-            out[e] = out[e] + vec
-        else:
-            out[e] = np.array(vec, dtype=float)
-
-    comps = [{e: v[i] for e, v in gp.terms.items()} for i in range(n)]
-    for e, v in gp.terms.items():
-        _add(e, f.linear @ v)
-    for i, j in combinations_with_replacement(range(n), 2):
-        coef = f.quad[:, i, j] if i != j else 0.5 * f.quad[:, i, i]
-        if not np.any(coef):
-            continue
-        for e, c in _poly_mul(comps[i], comps[j]).items():
-            _add(e, c * coef)
-    result = PolyMap(n, out)
-    q = result.as_quadmap()
-    return result if q is None else q
+    A, L, B = f.quad, g.linear, g.quad
+    inner = f.before_affine(AffineMap(L, g.const))
+    quad = inner.quad + np.einsum("im,mjk->ijk", f.jacobian(g.const), B)
+    higher = [
+        _symmetrized(0.5 * np.einsum("iab,aj,bkl->ijkl", A, L, B)),
+        _symmetrized(0.125 * np.einsum("iab,ajk,blm->ijklm", A, B, B)),
+    ]
+    coeffs = [inner.const, inner.linear, 0.5 * quad, *higher]
+    scale = max(1.0, *(float(np.max(np.abs(t))) for t in coeffs))
+    if max(float(np.max(np.abs(t))) for t in higher) > COMPOSE_TOL * scale:
+        return PolyMap(coeffs)
+    return QuadMap(inner.const, inner.linear, quad)

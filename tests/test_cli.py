@@ -1,6 +1,8 @@
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import platform
 import subprocess
 import sys
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import qvpmaps
-from qvpmaps import build_shear, cli
+from qvpmaps import AffineMap, QvpmapsError, build_shear, cli
 from qvpmaps.cli import main
 from qvpmaps.dynamics import DynamicsError
 from util import random_case_map, random_shear_data, random_symplectic_quadmap
@@ -197,6 +199,28 @@ def test_normal_form_rejects_non_shear(tmp_path):
     assert cp.returncode == 2
 
 
+@pytest.mark.parametrize("excess, codes", [(1.5e-10, (2, 1)), (5e-11, (0, 0))])
+def test_classify_and_normal_form_share_the_volume_threshold(tmp_path, excess, codes):
+    # scaling the first output by 1 + excess moves det L alone: the
+    # standard-form part, so its nilpotency residual, stays the same
+    f, _, _, _ = random_case_map(np.random.default_rng(92), 3)
+    f = f.after_affine(AffineMap(np.diag([1.0 + excess, 1.0, 1.0]), np.zeros(3)))
+    path = str(write_map(tmp_path / "m.json", f))
+    out = str(tmp_path / "o.json")
+    assert (main(["classify", path, "--out", out]), main(["normal-form", path, "--out", out])) == codes
+
+
+def test_every_error_derives_from_one_root():
+    modules = [importlib.import_module(f"qvpmaps.{m.name}")
+               for m in pkgutil.iter_modules(qvpmaps.__path__) if m.name != "__main__"]
+    errors = {obj for mod in modules for obj in vars(mod).values()
+              if isinstance(obj, type) and issubclass(obj, BaseException)
+              and obj.__module__.startswith("qvpmaps.")}
+    assert len(errors) > 10
+    assert [e.__qualname__ for e in errors
+            if e is not cli.PredicateFailure and not issubclass(e, QvpmapsError)] == []
+
+
 def test_fixed_points_csv(tmp_path):
     out = tmp_path / "fps.csv"
     cp = run_cli(
@@ -342,10 +366,11 @@ def test_manifold_outputs(tmp_path):
     (["manifold", "--ring-points", "-3"], "ring_points"),
     (["manifold", "--eps", "nan"], "eps"),
     (["manifold", "--refine", "inf"], "refine"),
+    (["manifold", "--depth", "-1"], "depth"),
     (["symmetric", "--heteroclinic", "--samples", "-4"], "samples"),
     (["symmetric", "--period", "4", "--samples", "-4"], "samples"),
-], ids=["ring-points=0", "ring-points=-3", "eps=nan", "refine=inf", "heteroclinic-samples=-4",
-        "period-samples=-4"])
+], ids=["ring-points=0", "ring-points=-3", "eps=nan", "refine=inf", "depth=-1",
+        "heteroclinic-samples=-4", "period-samples=-4"])
 def test_out_of_range_inputs_are_one_error_line(tmp_path, argv, name):
     out = tmp_path / "out.csv"
     where = ["--prefix", tmp_path / "m"] if argv[0] == "manifold" else ["--out", out]

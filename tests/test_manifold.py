@@ -116,11 +116,12 @@ class TestGrow2D:
         (dict(ring_points=0), "ring_points"), (dict(ring_points=-3), "ring_points"),
         (dict(eps=math.nan), "eps"), (dict(eps=-0.1), "eps"), (dict(eps=0.0), "eps"),
         (dict(refine=math.inf), "refine"), (dict(refine=0.0), "refine"),
+        (dict(depth=-1), "depth"),
     ])
     def test_out_of_range_inputs_rejected(self, fig2, kwargs, name):
         p, fps = fig2
         with pytest.raises(ManifoldError, match=name):
-            grow_2d(p, fps["plus"], "stable", depth=1, **kwargs)
+            grow_2d(p, fps["plus"], "stable", **{"depth": 1, **kwargs})
 
 
 class TestGrow1D:
@@ -145,6 +146,15 @@ class TestGrow1D:
             assert np.min(np.linalg.norm(pts - img, axis=1)) < 0.05 * max(
                 1.0, np.linalg.norm(img - fps["plus"].location)
             )
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(depth=-1), "depth"), (dict(seed_points=0), "seed_points"),
+        (dict(seed_points=-2), "seed_points"),
+    ])
+    def test_out_of_range_inputs_rejected(self, fig2, kwargs, name):
+        p, fps = fig2
+        with pytest.raises(ManifoldError, match=f"{name} must be at least"):
+            grow_1d(p, fps["plus"], "unstable", **kwargs)
 
     def test_refinement_stops_when_no_midpoint_is_new(self):
         # the stable branch folds so sharply that its seed parameters run
@@ -874,6 +884,8 @@ def reference_grow_1d(p, fp, kind, eps=None, depth=8, seed_points=8):
                     new_entries.append((g1, 0.5 * (s1 + (s2 if g1 == g2 else 1.0))))
                     changed = True
             if changed:
+                if len(set(new_entries)) == len(entries):  # no midpoint is new
+                    break
                 entries = sorted(set(new_entries))
                 pts = push(entries)
         if box is not None:
@@ -919,8 +931,10 @@ def assert_same_branches(branches, ref):
 #: meshes (complex pairs, so sub-rings) and a refining 1D branch; negative
 #: multipliers (one sub-ring, double-step branches), once with rings refined
 #: past 4096 points and branches refined and cut by the box, once with a
-#: mesh cut by the box; no box at all (indefinite Q); and a branch that
-#: refines to its 20000-point budget before the box cuts it.
+#: mesh cut by the box; no box at all (indefinite Q); a branch that
+#: refines to its 20000-point budget before the box cuts it; and a stable
+#: branch so folded that its refinement adds a point or two per pass until
+#: no midpoint is new.
 FIG2 = (0.0, -0.3, 0.0, 0.5, 0.0, 0.5)
 NEGATIVE = (-0.3, -2.6, 0.0, 0.5, 0.0, 0.5)
 ESCAPING = (-0.5, 1.5, 0.0, 0.5, 0.0, 0.5)
@@ -933,6 +947,8 @@ GROW_CASES = {
                    dict(depth=12)),
     "escaping": (ESCAPING, dict(eps=0.05, depth=6, ring_points=40),
                  dict(eps=0.1, depth=8, seed_points=4)),
+    "folded": ((-0.14, -1.33, 0.15, 0.61, -0.43, 0.82), dict(eps=0.05, depth=3, ring_points=16),
+               dict(eps=0.04, depth=10, seed_points=6)),
 }
 
 

@@ -10,14 +10,22 @@ from qvpmaps import (
     is_volume_preserving,
 )
 from qvpmaps.polymap import (
+    COMPOSE_TOL,
     DimensionMismatchError,
+    MapError,
     NotVolumePreservingError,
     NoQuadraticInverseError,
     PolyMap,
     nilpotency_residual,
     triple_identity_residual,
 )
-from util import random_gradient_shear, random_shear_data, random_vp_map
+from util import (
+    random_gradient_shear,
+    random_shear_data,
+    random_symmetric,
+    random_unit,
+    random_vp_map,
+)
 
 from qvpmaps import build_shear
 
@@ -367,3 +375,160 @@ class TestResidualParity:
             _assert_residuals_match_reference(quad + quad.transpose(0, 2, 1))
 
         check()
+
+
+# --------------------------------------------------------------------------
+# Composition parity: compose against the monomial-dictionary composition
+
+
+def _ref_terms(q):
+    """{exponent tuple: coefficient vector} of a QuadMap."""
+    n = q.dim
+    terms = {(0,) * n: q.const.copy()}
+    for j in range(n):
+        terms[tuple(int(i == j) for i in range(n))] = q.linear[:, j].copy()
+    for j in range(n):
+        for k in range(j, n):
+            e = tuple(int(i == j) + int(i == k) for i in range(n))
+            terms[e] = terms.get(e, np.zeros(n)) + (q.quad[:, j, k] if j != k else 0.5 * q.quad[:, j, j])
+    return terms
+
+
+def _ref_poly_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            if c1 != 0.0 and c2 != 0.0:
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = out.get(e, 0.0) + c1 * c2
+    return out
+
+
+def reference_compose(f, g):
+    """f o g of two QuadMaps, expanded monomial by monomial: a QuadMap when
+    every coefficient above degree 2 is at most COMPOSE_TOL times the
+    largest one (and 1), else the {exponent: coefficient vector} terms."""
+    n = f.dim
+    gt = _ref_terms(g)
+    out = {(0,) * n: f.const.copy()}
+    for e, v in gt.items():
+        out[e] = out.get(e, np.zeros(n)) + f.linear @ v
+    comps = [{e: v[i] for e, v in gt.items()} for i in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            coef = f.quad[:, i, j] if i != j else 0.5 * f.quad[:, i, i]
+            if np.any(coef):
+                for e, c in _ref_poly_mul(comps[i], comps[j]).items():
+                    out[e] = out.get(e, np.zeros(n)) + c * coef
+    scale = max([1.0] + [float(np.max(np.abs(v))) for v in out.values()])
+    above = max([float(np.max(np.abs(v))) for e, v in out.items() if sum(e) > 2], default=0.0)
+    if above > COMPOSE_TOL * scale:
+        return out
+    const, linear, quad = np.zeros(n), np.zeros((n, n)), np.zeros((n, n, n))
+    for e, v in out.items():
+        idx = [j for j, p in enumerate(e) for _ in range(p)]
+        if len(idx) == 0:
+            const = v
+        elif len(idx) == 1:
+            linear[:, idx[0]] = v
+        elif len(idx) == 2:
+            j, k = idx
+            quad[:, j, k] += v if j != k else 2.0 * v
+            if j != k:
+                quad[:, k, j] += v
+    return QuadMap(const, linear, quad)
+
+
+def _ref_eval(terms, x):
+    return sum(v * np.prod(x ** np.array(e)) for e, v in terms.items())
+
+
+def _random_quad(rng, n, scale=1.0):
+    q = rng.standard_normal((n, n, n)) * scale
+    return q + q.transpose(0, 2, 1)
+
+
+def _unimodular(rng, n):
+    """A rotation times a diagonal of spread at most e: det 1 up to roundoff,
+    condition number at most e."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q[:, 0] *= np.sign(np.linalg.det(q))
+    u = rng.uniform(-0.5, 0.5, n)
+    return q * np.exp(u - u.mean())
+
+
+def _shear(rng, n, v):
+    """x + v (x^T P x) / 2 with P v = 0: its powers are quadratic."""
+    proj = np.eye(n) - np.outer(v, v)
+    return QuadMap.standard_form(np.einsum("i,jk->ijk", v, proj @ random_symmetric(rng, n) @ proj))
+
+
+def compose_cases(rng, n):
+    """(f, g) pairs of dimension n: a generic pair (degree 4), a volume-
+    preserving T o S composed with its inverse, and two shears along one
+    direction, each conjugated by one affine map (both collapse)."""
+    generic = [QuadMap(rng.standard_normal(n), rng.standard_normal((n, n)), _random_quad(rng, n))
+               for _ in range(2)]
+    v = random_unit(rng, n)
+    T = AffineMap(_unimodular(rng, n), rng.standard_normal(n))
+    f = _shear(rng, n, v).after_affine(T)
+    c = AffineMap(_unimodular(rng, n), rng.standard_normal(n))
+    shears = [_shear(rng, n, v).conjugate(c) for _ in range(2)]
+    return [tuple(generic), (f, invert_quadratic(f)), tuple(shears)]
+
+
+class TestComposeParity:
+    """compose returns the class the monomial expansion returns, and its
+    values, within 1e-13 (1 + |f(g(x))|)."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_seeded_cases(self, n):
+        rng = np.random.default_rng(200 + n)
+        for _ in range(4):
+            for (f, g), collapses in zip(compose_cases(rng, n), (False, True, True)):
+                got, want = compose(f, g), reference_compose(f, g)
+                assert isinstance(got, QuadMap) == isinstance(want, QuadMap) == collapses
+                ref = want if isinstance(want, QuadMap) else (lambda x, t=want: _ref_eval(t, x))
+                for x in rng.standard_normal((3, n)):
+                    fgx = f(g(x))
+                    assert np.max(np.abs(got(x) - ref(x))) <= 1e-13 * (1 + np.max(np.abs(fgx)))
+
+    def test_value_property(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        hnp = pytest.importorskip("hypothesis.extra.numpy")
+
+        def arrays(shape):
+            return hnp.arrays(float, shape, elements=st.floats(-10, 10))
+
+        def quadmaps(n):
+            return st.builds(lambda b, L, A: QuadMap(b, L, A + A.transpose(0, 2, 1)),
+                             arrays(n), arrays((n, n)), arrays((n, n, n)))
+
+        cases = st.integers(1, 4).flatmap(lambda n: st.tuples(quadmaps(n), quadmaps(n), arrays(n)))
+
+        def absolute(m):
+            return QuadMap(np.abs(m.const), np.abs(m.linear), np.abs(m.quad))
+
+        @hyp.settings(max_examples=50, deadline=None, derandomize=True, database=None)
+        @hyp.given(cases)
+        def check(case):
+            f, g, x = case
+            h = compose(f, g)
+            # rounding: the size of f(g(x)) with every term taken positive
+            bound = 1e-13 * (1 + np.max(absolute(f)(absolute(g)(np.abs(x)))))
+            if isinstance(h, QuadMap):
+                # dropped terms of degree 3 and 4, each coefficient at most
+                # COMPOSE_TOL times the largest, which the all-ones point bounds
+                largest = np.max(absolute(f)(absolute(g)(np.ones(len(x)))))
+                r = np.sum(np.abs(x))
+                bound += COMPOSE_TOL * max(1.0, largest) * (r**3 + r**4)
+            assert np.max(np.abs(h(x) - f(g(x)))) <= bound
+
+        check()
+
+    def test_polymap_factor_refused(self):
+        ff = compose(ball_map(), ball_map())
+        for f, g in ((ff, ball_map()), (ball_map(), ff), (AffineMap.identity(3), ff)):
+            with pytest.raises(MapError, match="PolyMap"):
+                compose(f, g)
