@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .normalform import QuadraticForm2, _case1_template
+from .normalform import QuadraticForm2, _template
 from .polymap import AffineMap, QvpmapsError
 
 TYPE_A = "type_A"
@@ -72,8 +72,8 @@ class GenericMapParams:
         return abs(self.coeff_sum() - 1.0) <= FIXED_POINT_TOL
 
     def as_quadmap(self):
-        q = self.quad
-        return _case1_template(self.alpha, self.tau, self.sigma, q.a, q.b, q.c)
+        return _template("I", dict(alpha=self.alpha, tau=self.tau, sigma=self.sigma,
+                                   **vars(self.quad)))
 
     # The map's one formula per direction: _ahead and _behind give the
     # coordinate that step and step_back add to a point (x, y, z) =

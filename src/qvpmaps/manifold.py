@@ -234,6 +234,10 @@ def grow_2d(p, fp, kind, eps=None, depth=6, refine=None, ring_points=64):
         spin = float(np.angle(lam_growth[0]))
 
     n_rings = m * (depth + 1)
+    if n_rings < 2:
+        raise ManifoldError(
+            f"depth {depth} grows {n_rings} ring ({m} per generation) and no band; "
+            "raise depth")
     rings_phi = []
     rings_pts = []
     truncated = False
@@ -788,8 +792,8 @@ def hausdorff_distance(pts_a, pts_b):
 #: within CAPTURE_RADIUS and has left it beyond EXIT_RADIUS.
 CAPTURE_RADIUS = 0.15
 EXIT_RADIUS = 0.3
-#: A heteroclinic root is certified by closest approaches to the target
-#: (forward) and the other fixed point (backward) both below this.
+#: A heteroclinic root is certified by a forward closest approach to the
+#: target below this.
 HETEROCLINIC_TOL = 1e-6
 #: Steps after which a heteroclinic orbit stops, caught or not.
 ORBIT_BUDGET = 2500
@@ -808,19 +812,17 @@ class HeteroclinicPoint:
     point: np.ndarray
     s: float
     forward_distance: float
-    backward_distance: float
 
 
 def _heteroclinic_stages(p, r):
     """The lockstep stages of heteroclinic_from_symmetry for p and its
     reversor r, over arrays of long-double s: episode_sides(s), the side of
-    each orbit from r.fix_line(s), and certify(s), its closest approaches
-    forward to the type-A fixed point and backward to the other."""
+    each orbit from r.fix_line(s), and certify(s), its closest approach
+    forward to the type-A fixed point."""
     fps = fixed_points(p)
     if len(fps) != 2:
         raise ManifoldError("need two distinct fixed points")
     target = next((f for f in fps if f.classification == "type_A"), None)
-    other = next((f for f in fps if f is not target), None)
     if target is None:
         raise ManifoldError("no type-A fixed point: forward convergence target missing")
     split = linear_data(p, target)
@@ -840,19 +842,18 @@ def _heteroclinic_stages(p, r):
     x_t = target.location.astype(ld)
     w_u = split.unstable_basis[:, 0].astype(ld)
 
-    def lockstep(s, backward, c, settle):
-        """Run the orbits from r.fix_line(s) forward (or backward) for up to
-        ORBIT_BUDGET steps and call settle(rows, buf, d, esc) every _CHUNK
-        steps.  Column j follows s[rows[j]]; after the chunk's step k + 1 its
-        x values are buf[k + 1:k + 4] in the order of travel, d[k] is their
-        distance to (c, c, c) and esc[k] whether they left the escape box
-        (nan and False once j has finished).  settle returns which columns
-        finish in this chunk."""
+    def lockstep(s, settle):
+        """Run the orbits from r.fix_line(s) forward for up to ORBIT_BUDGET
+        steps and call settle(rows, buf, d, esc) every _CHUNK steps.  Column
+        j follows s[rows[j]]; after the chunk's step k + 1 its x values are
+        buf[k + 1:k + 4], oldest first, d[k] is their distance to the target
+        (c, c, c) and esc[k] whether they left the escape box (nan and False
+        once j has finished).  settle returns which columns finish in this
+        chunk."""
         rows, live = np.arange(len(s)), np.ones(len(s), dtype=bool)
         buf = np.empty((_CHUNK + 3, len(s)), dtype=ld)
-        buf[:3] = r.fix_line(np.asarray(s, dtype=ld)).T[:: 1 if backward else -1]
-        new, lag = (p_ld._behind, 0) if backward else (p_ld._ahead, 2)
-        t = 0
+        buf[:3] = r.fix_line(np.asarray(s, dtype=ld)).T[::-1]
+        c, t = x_t[0], 0
         # A finished column is stepped to the end of its chunk and then parked
         # at c, as special values are slow in x87 arithmetic.  Finished
         # columns leave in blocks of _ROW_BLOCK: numpy keeps freed buffers
@@ -863,9 +864,9 @@ def _heteroclinic_stages(p, r):
                 t += steps
                 b = buf[:, : len(rows)]
                 for k in range(steps):
-                    new(b[k + lag], b[k + 1], b[k + 2 - lag], out=b[k + 3])
-                sq = (b[1 : steps + 3] - c) ** 2  # summed in the point's order
-                d = (sq[:-2] + sq[1:-1]) + sq[2:] if backward else (sq[2:] + sq[1:-1]) + sq[:-2]
+                    p_ld._ahead(b[k + 2], b[k + 1], b[k], out=b[k + 3])
+                sq = (b[1 : steps + 3] - c) ** 2
+                d = (sq[2:] + sq[1:-1]) + sq[:-2]  # summed in the point's order
                 d = np.where(live, np.sqrt(d).astype(float), np.nan)
                 big = np.abs(b[1 : steps + 3])
                 big = np.maximum(np.maximum(big[:-2], big[1:-1]), big[2:]).astype(float)
@@ -901,11 +902,11 @@ def _heteroclinic_stages(p, r):
             caught[rows] = now[-1]
             return done
 
-        lockstep(s, False, x_t[0], settle)
+        lockstep(s, settle)
         return sides
 
-    def closest_approach(s, backward, c):
-        """Least distance to (c, c, c) over each orbit's first ORBIT_BUDGET
+    def closest_approach(s):
+        """Least distance to the target over each orbit's first ORBIT_BUDGET
         steps, stopping after the step that leaves the escape box."""
         best = np.full(len(s), np.inf)
 
@@ -915,11 +916,10 @@ def _heteroclinic_stages(p, r):
             best[rows] = np.fmin(best[rows], np.fmin.reduce(np.where(upto, d, np.inf)))
             return done
 
-        lockstep(s, backward, c, settle)
+        lockstep(s, settle)
         return best
 
-    return episode_sides, lambda s: (closest_approach(s, False, x_t[0]),
-                                     closest_approach(s, True, ld(other.location[0])))
+    return episode_sides, closest_approach
 
 
 def heteroclinic_from_symmetry(p, r, bracket, samples=600):
@@ -932,15 +932,18 @@ def heteroclinic_from_symmetry(p, r, bracket, samples=600):
     CAPTURE_RADIUS of the target and then leaves beyond EXIT_RADIUS, within
     ORBIT_BUDGET steps) is taken on a uniform sample of the bracket, and
     each sign change is bisected in np.longdouble by bisect_sign_changes,
-    with no width tolerance.  Each root is certified by forward convergence
-    to one fixed point and backward convergence to the other, both below
-    HETEROCLINIC_TOL.
+    with no width tolerance.  Each root is certified by its forward closest
+    approach to the type-A fixed point, below HETEROCLINIC_TOL.  No backward
+    pass is needed: for x on Fix(h), f^-n(x) = h(f^n(x)), and h is an
+    isometry that swaps the two fixed points, so the backward distance to the
+    other fixed point is the forward one again, up to rounding (Lamb &
+    Roberts, Physica D 112, 1998).
 
     Each stage runs its orbits in lockstep and drops them as they finish:
-    the sample scan, every bisection round and both certifications.  An
+    the sample scan, every bisection round and the certification.  An
     orbit is a column of a (_CHUNK + 3, N) np.longdouble buffer holding the
     normal form's scalar recurrence: x_{n-2}, x_{n-1}, x_n and the next
-    _CHUNK values, by the formula of GenericMapParams.step (or step_back).
+    _CHUNK values, by the formula of GenericMapParams.step.
     Then one array pass runs the capture, exit, escape and distance tests of
     those steps and takes each orbit's first event, bitwise as if (N, 3)
     points were tested after every step.  A round lasts as long as its
@@ -956,9 +959,9 @@ def heteroclinic_from_symmetry(p, r, bracket, samples=600):
     grid = _fix_line_grid(bracket, samples).astype(np.longdouble)
     roots = bisect_sign_changes(episode_sides, grid, episode_sides(grid))
     hits = []
-    for s_root, f, b in zip(roots, *certify(roots)):
-        if f < HETEROCLINIC_TOL and b < HETEROCLINIC_TOL:
+    for s_root, f in zip(roots, certify(roots)):
+        if f < HETEROCLINIC_TOL:
             pt = r.fix_line(s_root).astype(float)
             if not any(np.linalg.norm(pt - h.point) < 1e-7 for h in hits):
-                hits.append(HeteroclinicPoint(pt, float(s_root), float(f), float(b)))
+                hits.append(HeteroclinicPoint(pt, float(s_root), float(f)))
     return hits

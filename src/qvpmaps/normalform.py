@@ -136,28 +136,44 @@ def decompose(m):
     return T, res
 
 
-def _case1_template(alpha, tau, sigma, a, b, c):
-    const = np.array([alpha, 0.0, 0.0])
-    lin = np.array([[tau, -sigma, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+#: rows (i, j) of the first component's quadratic form a x_i^2 + b x_i x_j +
+#: c x_j^2 in each normal form
+_CASE_ROWS = {"I": (0, 1), "II": (0, 2), "III": (1, 2)}
+
+
+def _template(case, p):
+    """The normal form ``case`` with parameter dict ``p``, as a QuadMap:
+    I   (alpha + tau x - sigma y + z + Q(x, y), x, y),
+    II  (x0 + alpha x + y + Q(x, z), y0 - beta x, z0 + z / beta),
+    III (x0 + alpha x + Q(y, z), y0 - z / alpha, z0 + y + beta z)."""
+    if case == "I":
+        const = [p["alpha"], 0.0, 0.0]
+        lin = [[p["tau"], -p["sigma"], 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    else:
+        const, alpha, beta = [p["x0"], p["y0"], p["z0"]], p["alpha"], p["beta"]
+        if case == "II":
+            lin = [[alpha, 1.0, 0.0], [-beta, 0.0, 0.0], [0.0, 0.0, 1.0 / beta]]
+        else:
+            lin = [[alpha, 0.0, 0.0], [0.0, 0.0, -1.0 / alpha], [0.0, 1.0, beta]]
+    rows = _CASE_ROWS[case]
     quad = np.zeros((3, 3, 3))
-    quad[0] = np.array([[2 * a, b, 0.0], [b, 2 * c, 0.0], [0.0, 0.0, 0.0]])
-    return QuadMap(const, lin, quad)
+    quad[0][np.ix_(rows, rows)] = [[2 * p["a"], p["b"]], [p["b"], 2 * p["c"]]]
+    return QuadMap(np.array(const), np.array(lin), quad)
 
 
-def _case2_template(x0, y0, z0, alpha, beta, a, b, c):
-    const = np.array([x0, y0, z0])
-    lin = np.array([[alpha, 1.0, 0.0], [-beta, 0.0, 0.0], [0.0, 0.0, 1.0 / beta]])
-    quad = np.zeros((3, 3, 3))
-    quad[0] = np.array([[2 * a, 0.0, b], [0.0, 0.0, 0.0], [b, 0.0, 2 * c]])
-    return QuadMap(const, lin, quad)
-
-
-def _case3_template(x0, y0, z0, alpha, beta, a, b, c):
-    const = np.array([x0, y0, z0])
-    lin = np.array([[alpha, 0.0, 0.0], [0.0, 0.0, -1.0 / alpha], [0.0, 1.0, beta]])
-    quad = np.zeros((3, 3, 3))
-    quad[0] = np.array([[0.0, 0.0, 0.0], [0.0, 2 * a, b], [0.0, b, 2 * c]])
-    return QuadMap(const, lin, quad)
+def _read_params(case, g):
+    """The parameter dict of the normal form ``case``, read off the
+    coefficients of a map ``g`` that has that form."""
+    const, lin = g.const, g.linear
+    if case == "I":
+        p = {"alpha": const[0], "tau": lin[0, 0], "sigma": -lin[0, 1]}
+    else:
+        p = {"x0": const[0], "y0": const[1], "z0": const[2], "alpha": lin[0, 0],
+             "beta": -lin[1, 0] if case == "II" else lin[2, 2]}
+    i, j = _CASE_ROWS[case]
+    A = g.quad[0]
+    p.update(a=0.5 * A[i, i], b=A[i, j], c=0.5 * A[j, j])
+    return {k: float(v) for k, v in p.items()}
 
 
 def _oracle_points(n=20, dim=3, scale=1.0):
@@ -177,19 +193,32 @@ def conjugacy_residual(f, conj, nf_map, n_points=20):
     return float(np.max(np.abs(r), initial=0.0))
 
 
-def _read_quad_coeffs(g, rows):
-    """(a, b, c) of the first component's quadratic form in variables ``rows``."""
-    i, j = rows
-    A = g.quad[0]
-    return 0.5 * A[i, i], A[i, j], 0.5 * A[j, j]
-
-
 def _structure_residual(g, template):
     return max(
         float(np.max(np.abs(g.const - template.const))),
         float(np.max(np.abs(g.linear - template.linear))),
         float(np.max(np.abs(g.quad - template.quad))),
     )
+
+
+def _reduced(case, m, conj, diagnostics):
+    """The normal form ``case`` of ``m`` in the coordinates ``conj``: the
+    template built from the parameters of the conjugated map, with how far
+    the two differ recorded as ``structure_residual``."""
+    g = m.conjugate(conj)
+    params = _read_params(case, g)
+    template = _template(case, params)
+    diagnostics["structure_residual"] = _structure_residual(g, template)
+    return NormalForm(case, params, conj, template, None, None, diagnostics)
+
+
+def _check_oracle(f, conj, g, diagnostics, key, what):
+    """Record conjugacy_residual(f, conj, g) as ``diagnostics[key]`` and
+    refuse the reduction when it exceeds ORACLE_TOL."""
+    res = conjugacy_residual(f, conj, g)
+    diagnostics[key] = res
+    if not res <= ORACLE_TOL:
+        raise NormalFormError(f"{what} oracle residual {res:.3g} exceeds {ORACLE_TOL:.1g}")
 
 
 def to_normal_form(m):
@@ -227,19 +256,9 @@ def to_normal_form(m):
     if small:
         diagnostics["near_degenerate_rank"] = True
 
-    if dim_z == 3:
-        nf = _reduce_case1(m, L, v, diagnostics)
-    elif dim_z == 2:
-        nf = _reduce_case2(m, L, v, diagnostics)
-    else:
-        nf = _reduce_case3(m, L, v, diagnostics)
-
-    res = conjugacy_residual(m, nf.conjugacy, nf.normal_map)
-    nf.diagnostics["oracle_residual"] = res
-    if not res <= ORACLE_TOL:
-        raise NormalFormError(
-            f"conjugacy oracle residual {res:.3g} exceeds {ORACLE_TOL:.1g}"
-        )
+    reduce = {3: _reduce_case1, 2: _reduce_case2, 1: _reduce_case3}[dim_z]
+    nf = reduce(m, L, v, diagnostics)
+    _check_oracle(m, nf.conjugacy, nf.normal_map, nf.diagnostics, "oracle_residual", "conjugacy")
     return replace(nf, shear=sd)
 
 
@@ -250,30 +269,9 @@ def _reduce_case1(m, L, v, diagnostics):
     g1 = m.conjugate(AffineMap(U, np.zeros(3)))
     x0, y0, z0 = g1.const
     d = np.array([0.0, y0, y0 + z0])
-    conj = AffineMap(U, U @ d)  # U o (translation by d), as one affine map
-    g = m.conjugate(conj)
-    alpha = float(g.const[0])
-    tau_eff = float(g.linear[0, 0])
-    sigma_eff = float(-g.linear[0, 1])
-    a, b, c = _read_quad_coeffs(g, (0, 1))
-    template = _case1_template(alpha, tau_eff, sigma_eff, a, b, c)
-    diagnostics.update(
-        {
-            "trace_L": tau,
-            "second_trace_L": sigma,
-            "translation": d.tolist(),
-            "structure_residual": _structure_residual(g, template),
-        }
-    )
-    params = {
-        "alpha": alpha,
-        "tau": tau_eff,
-        "sigma": sigma_eff,
-        "a": float(a),
-        "b": float(b),
-        "c": float(c),
-    }
-    return NormalForm("I", params, conj, template, None, None, diagnostics)
+    diagnostics.update({"trace_L": tau, "second_trace_L": sigma, "translation": d.tolist()})
+    # U o (translation by d), as one affine map
+    return _reduced("I", m, AffineMap(U, U @ d), diagnostics)
 
 
 def _adjugate3(A):
@@ -314,26 +312,7 @@ def _reduce_case2(m, L, v, diagnostics):
     if np.linalg.norm(w_perp) < 1e-6:
         raise NormalFormError("case II eigenvector lies in Z(v, L)")
     diagnostics["eig_residual"] = float(np.linalg.norm(A3 @ w))
-    U = np.column_stack([L @ v, v, w])
-    conj = AffineMap(U, np.zeros(3))
-    g = m.conjugate(conj)
-    x0, y0, z0 = (float(t) for t in g.const)
-    alpha_eff = float(g.linear[0, 0])
-    beta_eff = float(-g.linear[1, 0])
-    a, b, c = _read_quad_coeffs(g, (0, 2))
-    template = _case2_template(x0, y0, z0, alpha_eff, beta_eff, a, b, c)
-    diagnostics["structure_residual"] = _structure_residual(g, template)
-    params = {
-        "x0": x0,
-        "y0": y0,
-        "z0": z0,
-        "alpha": alpha_eff,
-        "beta": beta_eff,
-        "a": float(a),
-        "b": float(b),
-        "c": float(c),
-    }
-    return NormalForm("II", params, conj, template, None, None, diagnostics)
+    return _reduced("II", m, AffineMap(np.column_stack([L @ v, v, w]), np.zeros(3)), diagnostics)
 
 
 def _case3_candidates(v, L, alpha):
@@ -381,26 +360,7 @@ def _reduce_case3(m, L, v, diagnostics):
     w, beta, gamma, resid = best
     diagnostics["cyclic_residual"] = float(resid)
     diagnostics["gamma_check"] = gamma  # should equal 1/alpha since det L = 1
-    U = np.column_stack([v, w, L @ w])
-    conj = AffineMap(U, np.zeros(3))
-    g = m.conjugate(conj)
-    x0, y0, z0 = (float(t) for t in g.const)
-    alpha_eff = float(g.linear[0, 0])
-    beta_eff = float(g.linear[2, 2])
-    a, b, c = _read_quad_coeffs(g, (1, 2))
-    template = _case3_template(x0, y0, z0, alpha_eff, beta_eff, a, b, c)
-    diagnostics["structure_residual"] = _structure_residual(g, template)
-    params = {
-        "x0": x0,
-        "y0": y0,
-        "z0": z0,
-        "alpha": alpha_eff,
-        "beta": beta_eff,
-        "a": float(a),
-        "b": float(b),
-        "c": float(c),
-    }
-    return NormalForm("III", params, conj, template, None, None, diagnostics)
+    return _reduced("III", m, AffineMap(np.column_stack([v, w, L @ w]), np.zeros(3)), diagnostics)
 
 
 def reduce_generic(nf):
@@ -418,46 +378,28 @@ def reduce_generic(nf):
     p = nf.params
     a, b, c = p["a"], p["b"], p["c"]
     bound = 1e-12 * max(1.0, abs(a), abs(b), abs(c))
-    if abs(a + b + c) <= bound:
-        d = dict(nf.diagnostics)
-        d["nongeneric"] = "sum_zero"
-        return replace(nf, diagnostics=d)
-    if abs(b + 2 * c) <= bound:
-        d = dict(nf.diagnostics)
-        d["nongeneric"] = "translation"
-        return replace(nf, diagnostics=d)
+    for flag, value in (("sum_zero", a + b + c), ("translation", b + 2 * c)):
+        if abs(value) <= bound:
+            return replace(nf, diagnostics={**nf.diagnostics, "nongeneric": flag})
 
     lam = 1.0 / (a + b + c)
     c_scale = AffineMap(lam * np.eye(3), np.zeros(3))
     g2 = nf.normal_map.conjugate(c_scale)
-    a2, b2, c2 = _read_quad_coeffs(g2, (0, 1))
-    sigma2 = float(-g2.linear[0, 1])
-    gamma = sigma2 / (b2 + 2 * c2)
+    p2 = _read_params("I", g2)
+    gamma = p2["sigma"] / (p2["b"] + 2 * p2["c"])
     c_shift = AffineMap(np.eye(3), gamma * np.ones(3))
-    g3 = g2.conjugate(c_shift)
-    alpha3 = float(g3.const[0])
-    tau3 = float(g3.linear[0, 0])
-    sigma3 = float(-g3.linear[0, 1])
-    a3, b3, c3 = _read_quad_coeffs(g3, (0, 1))
-    template = _case1_template(alpha3, tau3, sigma3, a3, b3, c3)
-
-    conj_total = compose(nf.conjugacy, compose(c_scale, c_shift))
-    generic = {
-        "alpha": alpha3,
-        "tau": tau3,
-        "a": float(a3),
-        "b": float(b3),
-        "c": float(c3),
+    red = _reduced("I", g2, c_shift, {})
+    generic = dict(red.params)
+    sigma3 = generic.pop("sigma")
+    d = {
+        **nf.diagnostics,
+        "generic_structure_residual": red.diagnostics["structure_residual"],
+        "generic_sigma_residual": abs(sigma3),
+        "scaling_lambda": lam,
+        "sigma_shift_gamma": gamma,
     }
-    d = dict(nf.diagnostics)
-    d["generic_structure_residual"] = _structure_residual(g3, template)
-    d["generic_sigma_residual"] = abs(sigma3)
-    d["scaling_lambda"] = lam
-    d["sigma_shift_gamma"] = gamma
-    res = conjugacy_residual(nf.normal_map, compose(c_scale, c_shift), template)
-    d["generic_oracle_residual"] = res
-    if not res <= ORACLE_TOL:
-        raise NormalFormError(
-            f"generic-reduction oracle residual {res:.3g} exceeds {ORACLE_TOL:.1g}"
-        )
-    return NormalForm("I", dict(nf.params), conj_total, template, nf.shear, generic, d)
+    conj = compose(c_scale, c_shift)
+    _check_oracle(nf.normal_map, conj, red.normal_map, d, "generic_oracle_residual",
+                  "generic-reduction")
+    return NormalForm("I", dict(nf.params), compose(nf.conjugacy, conj), red.normal_map,
+                      nf.shear, generic, d)

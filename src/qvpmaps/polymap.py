@@ -356,7 +356,7 @@ def has_quadratic_inverse(m, tol=DEFAULT_TOL):
     if isinstance(m, AffineMap):
         return True
     d = float(np.linalg.det(m.linear))
-    if abs(d - 1.0) > max(tol, 1e-8):
+    if abs(d - 1.0) > tol:
         raise NotVolumePreservingError(
             f"linear part has det {d:.6g}; map is not volume preserving"
         )

@@ -381,6 +381,15 @@ def test_out_of_range_inputs_are_one_error_line(tmp_path, argv, name):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_manifold_depth_zero_with_one_subring_names_the_ring_count(tmp_path):
+    # real multipliers: one sub-ring per generation, so one ring and no band
+    cp = run_cli("manifold", "--alpha", -0.3, "--tau", -2.6, "--a", 0.5, "--b", 0, "--c", 0.5,
+                 "--depth", 0, "--prefix", tmp_path / "m")
+    assert cp.returncode == 1
+    assert cp.stderr.startswith("error: depth 0 grows 1 ring") and "box" not in cp.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_symmetric_search_cli(tmp_path):
     out = tmp_path / "sym.csv"
     cp = run_cli(
@@ -687,4 +696,42 @@ def test_figure_outputs_match_benchmark_digests(tmp_path, monkeypatch):
     for argv in argvs:
         assert main(argv) == 0, argv
     got = {path: hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()[:12] for path in want}
+    assert got == want
+
+
+@pytest.mark.skipif(
+    not (sys.platform.startswith("linux") and platform.machine() in ("x86_64", "AMD64")),
+    reason="the recorded digests are of x86-64 Linux outputs",
+)
+def test_algebra_outputs_match_benchmark_digests(tmp_path, monkeypatch):
+    """Every 10th map of each pool category of the benchmark's algebra
+    workload gives the classify, normal-form and classify --symplectic files
+    it recorded, byte for byte; a command whose recorded digest is null is
+    refused and writes no file."""
+    spec = importlib.util.spec_from_file_location("bench_maps", BENCH_REFERENCE.parent / "maps.py")
+    maps = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(maps)
+    ref = json.loads((BENCH_REFERENCE / "algebra.json").read_text())
+    assert ref["pool_seed"] == maps.POOL_SEED
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "maps").mkdir()
+    (tmp_path / "out").mkdir()
+    got, want = {}, {}
+    for category, (size, _) in maps.CATEGORIES.items():
+        if category in maps.CASE_DIM_Z:
+            kinds = {"classify": ["classify"], "normal-form": ["normal-form"]}
+        else:
+            kinds = {"symplectic": ["classify", "--symplectic"]}
+        for index in range(0, size, 10):
+            stem = maps.stem(category, index)
+            path = f"maps/{stem}.json"
+            (tmp_path / path).write_text(json.dumps(maps.map_dict(category, index)))
+            for kind, (cmd, *flags) in kinds.items():
+                out = tmp_path / "out" / f"{stem}.{kind}.json"
+                rc = main([cmd, path, *flags, "--out", str(out.relative_to(tmp_path))])
+                want[out.name] = ref["digests"][category][kind][index]
+                got[out.name] = (hashlib.sha256(out.read_bytes()).hexdigest()[:12]
+                                 if out.exists() else None)
+                assert (rc == 0) == (want[out.name] is not None), out.name
+    assert len(got) == 660
     assert got == want

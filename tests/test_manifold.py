@@ -107,6 +107,16 @@ class TestGrow2D:
         areas = [mesh.generation_area(g) for g in range(5)]
         assert all(a2 >= a1 * 0.999 for a1, a2 in zip(areas, areas[1:]))
 
+    def test_one_ring_is_not_a_box_truncation(self):
+        # real multipliers give one sub-ring per generation, so depth 0 grows
+        # a single ring, and no band, without reaching the bounding box
+        p = GenericMapParams.make(-0.3, -2.6, 0.0, 0.5, 0.0, 0.5)
+        fp = next(f for f in fixed_points(p) if f.classification == "type_A")
+        with pytest.raises(ManifoldError, match="no band") as err:
+            grow_2d(p, fp, "stable", depth=0)
+        assert "box" not in str(err.value)
+        assert grow_2d(p, fp, "stable", depth=1).subrings == 1
+
     def test_wrong_dimension_rejected(self, fig2):
         p, fps = fig2
         with pytest.raises(ManifoldError):
@@ -212,7 +222,6 @@ class TestIntersectAndSymmetry:
         assert pts
         for q in pts:
             assert q.forward_distance < 1e-6
-            assert q.backward_distance < 1e-6
             # the returned point is on Fix(h)
             assert abs(q.point[0] + q.point[2] + h.eta) < 1e-12
             assert abs(q.point[1] + h.eta / 2) < 1e-12
@@ -246,11 +255,10 @@ def scalar_heteroclinic_stages(p, r, capture_radius=0.15, exit_radius=0.3, budge
     """Reference stages: the one-orbit-at-a-time scan and certification that
     the lockstep heteroclinic_from_symmetry replaces, stepping (3,) long-double
     points.  episode(s) gives (side, capture step, exit or escape step) and
-    certify(s) ((forward distance, escape step), (backward distance, escape
-    step)); steps count from 1 and are None for events that do not happen."""
+    certify(s) (forward distance, escape step); steps count from 1 and are
+    None for events that do not happen."""
     fps = fixed_points(p)
     target = next(f for f in fps if f.classification == "type_A")
-    other = next(f for f in fps if f is not target)
     w_u = linear_data(p, target).unstable_basis[:, 0]
     escape_lim = 1e6
     if p.quad.is_positive_definite():
@@ -259,7 +267,6 @@ def scalar_heteroclinic_stages(p, r, capture_radius=0.15, exit_radius=0.3, budge
     ld = np.longdouble
     eta = ld(r.eta)
     x_t = target.location.astype(ld)
-    x_o = other.location.astype(ld)
     w_u_ld = w_u.astype(ld)
 
     def line_ld(s):
@@ -283,25 +290,20 @@ def scalar_heteroclinic_stages(p, r, capture_radius=0.15, exit_radius=0.3, budge
         return np.nan, caught, None
 
     def certify(s):
-        dists = []
-        for step, centre in ((p.step, x_t), (p.step_back, x_o)):
-            best, escaped = np.inf, None
-            pt = line_ld(s)
-            for n in range(1, budget + 1):
-                pt = step(pt)
-                best = min(best, float(np.sqrt(np.sum((pt - centre) ** 2))))
-                if float(np.max(np.abs(pt))) > escape_lim:
-                    escaped = n
-                    break
-            dists.append((best, escaped))
-        return dists
+        best, pt = np.inf, line_ld(s)
+        for n in range(1, budget + 1):
+            pt = p.step(pt)
+            best = min(best, float(np.sqrt(np.sum((pt - x_t) ** 2))))
+            if float(np.max(np.abs(pt))) > escape_lim:
+                return best, n
+        return best, None
 
     return episode, certify
 
 
 def scalar_heteroclinic_search(p, r, bracket, samples, conv_tol=1e-6):
     """Reference: the one-orbit-at-a-time search that the lockstep
-    heteroclinic_from_symmetry replaces, as (point, s, fwd, bwd) tuples."""
+    heteroclinic_from_symmetry replaces, as (point, s, fwd) tuples."""
     episode, certify = scalar_heteroclinic_stages(p, r)
     ld = np.longdouble
     eta = ld(r.eta)
@@ -330,11 +332,11 @@ def scalar_heteroclinic_search(p, r, bracket, samples, conv_tol=1e-6):
         if not (np.isfinite(a) and np.isfinite(b)) or a == b:
             continue
         s_root = bisect(grid[i], grid[i + 1], a)
-        (fwd, _), (bwd, _) = certify(s_root)
-        if fwd < conv_tol and bwd < conv_tol:
+        fwd, _ = certify(s_root)
+        if fwd < conv_tol:
             pt = np.array([s_root, -eta / 2, -eta - s_root], dtype=ld).astype(float)
             if not any(np.linalg.norm(pt - h[0]) < 1e-7 for h in hits):
-                hits.append((pt, float(s_root), fwd, bwd))
+                hits.append((pt, float(s_root), fwd))
     return hits
 
 
@@ -355,10 +357,9 @@ class TestHeteroclinicLockstep:
         want = scalar_heteroclinic_search(p, h, bracket, samples=samples)
         assert want
         assert len(got) == len(want)
-        for g, (pt, s, fwd, bwd) in zip(got, want):
+        for g, (pt, s, fwd) in zip(got, want):
             assert g.s == s
             assert g.forward_distance == fwd
-            assert g.backward_distance == bwd
             assert np.array_equal(g.point, pt)
 
     def test_fig2_hits_pinned(self, fig2):
@@ -371,7 +372,6 @@ class TestHeteroclinicLockstep:
         for h, s in zip(hits, want):
             assert abs(h.s - s) <= 1e-12
             assert h.forward_distance < 1e-6
-            assert h.backward_distance < 1e-6
 
     def test_empty_grid(self, fig2):
         p, _ = fig2
@@ -422,14 +422,13 @@ class TestHeteroclinicChunkEdges:
         for p, h, s, episodes, certs in edge_reference:
             sides, certify = manifold._heteroclinic_stages(p, h)
             assert same_bits(sides(s), [e[0] for e in episodes])
-            for got, want in zip(certify(s), zip(*certs)):
-                assert same_bits(got, [w[0] for w in want])
+            assert same_bits(certify(s), [c[0] for c in certs])
             for _, caught, end in episodes:
                 if caught and end:
                     seen.add("exit, same chunk" if (caught - 1) // chunk == (end - 1) // chunk
                              else "exit, later chunk")
                 seen.add("time out" if end is None else "escape" if caught is None else "exit")
-            for _, escaped in (c for pair in certs for c in pair):
+            for _, escaped in certs:
                 if escaped is None:
                     seen.add("certification time out")
                 elif escaped % chunk:  # stepped on after the escape

@@ -164,6 +164,22 @@ class TestQuadraticInverse:
         with pytest.raises(NotVolumePreservingError):
             has_quadratic_inverse(bad)
 
+    @pytest.mark.parametrize("drift", [1.5e-9, 2e-10, -5e-9])
+    def test_det_threshold_is_the_volume_threshold(self, drift):
+        # det L off 1 by more than tol, but less than 1e-8: the map is not
+        # volume preserving at tol, so it has no quadratic inverse either
+        f, _, _ = random_vp_map(np.random.default_rng(9))
+        m = QuadMap(f.const, f.linear * (1.0 + drift) ** (1.0 / 3.0), f.quad)
+        cert = is_volume_preserving(m)
+        assert not cert and cert.condition == "det(DF(0)) == 1"
+        with pytest.raises(NotVolumePreservingError, match="det"):
+            has_quadratic_inverse(m)
+        with pytest.raises(NotVolumePreservingError):
+            invert_quadratic(m)
+        # at a looser tol both accept it
+        assert is_volume_preserving(m, tol=1e-8)
+        assert has_quadratic_inverse(m, tol=1e-8)
+
 
 class TestInvert:
     def test_shear_inverse_coefficients(self):
