@@ -471,9 +471,11 @@ def _second_fix_defects(p, r, pt):
     return g1, g2
 
 
-#: Bisection levels that bisect_sign_changes evaluates per lockstep round:
-#: every dyadic midpoint this many levels below each live bracket.
-_SPECULATION_DEPTH = 6
+#: bisect_sign_changes evaluates at most this many midpoints in a lockstep
+#: round, or one per live bracket when there are more brackets than this ...
+_ROUND_MIDPOINTS = 512
+#: ... and at most this many levels of midpoints below each live bracket.
+_MAX_DEPTH = 8
 #: Halvings after which a bracket stops, converged or not.
 _BISECTION_CAP = 160
 #: Relative bracket width at which symmetric_orbit_search stops bisecting.
@@ -481,6 +483,13 @@ SYMMETRIC_BISECT_RTOL = 1e-12
 #: symmetric_orbit_search keeps a root whose half-orbit defects are within
 #: 10 times this and whose orbit closes up to |f^period(x) - x| <= this.
 SYMMETRIC_CERTIFY_TOL = 1e-9
+
+
+def _speculation_depth(n_live):
+    """Levels of midpoints that bisect_sign_changes evaluates in a round with
+    n_live brackets: the largest d in [1, _MAX_DEPTH] with
+    (2^d - 1) * n_live <= _ROUND_MIDPOINTS (d = 1 when there is none)."""
+    return min(_MAX_DEPTH, max(1, (_ROUND_MIDPOINTS // n_live + 1).bit_length() - 1))
 
 
 def bisect_sign_changes(side, grid, values, rtol=0.0):
@@ -496,12 +505,14 @@ def bisect_sign_changes(side, grid, values, rtol=0.0):
     |hi|), which rtol = 0 never meets.  Returns (lo + hi) / 2 per bracket, in
     grid order.
 
-    A round evaluates, in one call of side, every dyadic midpoint down to
-    _SPECULATION_DEPTH levels below each live bracket, then walks each
-    bracket's tree of midpoints with the one-at-a-time rule.  The roots are
-    bitwise those of bisecting one midpoint at a time, with one round per
-    _SPECULATION_DEPTH halvings; a side that runs orbits in lockstep costs
-    about as much for many parameters as for one.
+    A round evaluates, in one call of side, every dyadic midpoint down to d
+    levels below each live bracket, then walks each bracket's tree of
+    midpoints with the one-at-a-time rule.  d is _speculation_depth of the
+    number of live brackets, taken afresh each round: a round of a side that
+    runs orbits in lockstep lasts as long as its slowest orbit, so few live
+    brackets buy many halvings per round, and many brackets keep each round
+    to about _ROUND_MIDPOINTS evaluations.  The walk does not depend on d,
+    so the roots are bitwise those of bisecting one midpoint at a time.
     """
     lower, upper = values[:-1], values[1:]
     flips = np.flatnonzero(np.isfinite(lower) & np.isfinite(upper) & (lower * upper <= 0))
@@ -511,9 +522,10 @@ def bisect_sign_changes(side, grid, values, rtol=0.0):
     while len(live):
         # levels[k][i, j]: midpoint of node j at depth k below bracket live[i];
         # the children of node j are nodes 2j (lower half) and 2j + 1.
+        depth = _speculation_depth(len(live))
         ends_lo, ends_hi = lo[live, None], hi[live, None]
         levels = []
-        for _ in range(_SPECULATION_DEPTH):
+        for _ in range(depth):
             mid = (ends_lo + ends_hi) / 2
             levels.append(mid)
             ends_lo = np.stack([ends_lo, mid], axis=-1).reshape(len(live), -1)
@@ -523,7 +535,7 @@ def bisect_sign_changes(side, grid, values, rtol=0.0):
         still = []
         for i, b in enumerate(live):
             node = 0
-            for k in range(_SPECULATION_DEPTH):
+            for k in range(depth):
                 if halvings[b] == _BISECTION_CAP:
                     break
                 if abs(hi[b] - lo[b]) <= rtol * max(1.0, abs(lo[b]), abs(hi[b])):

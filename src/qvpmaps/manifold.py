@@ -868,9 +868,16 @@ def _heteroclinic_stages(p, r):
                 sq = (b[1 : steps + 3] - c) ** 2
                 d = (sq[2:] + sq[1:-1]) + sq[:-2]  # summed in the point's order
                 d = np.where(live, np.sqrt(d).astype(float), np.nan)
-                big = np.abs(b[1 : steps + 3])
-                big = np.maximum(np.maximum(big[:-2], big[1:-1]), big[2:]).astype(float)
-                live &= ~settle(rows, b, d, (big > escape_lim) & live)
+                # The escape test on one boolean per x value, or-ed over each
+                # point's three.  Rounding is monotone, so the cast commutes
+                # with the max, and this is the point's max cast and compared,
+                # except on a point holding a nan beside a value above
+                # escape_lim (its max is nan and does not escape).  A nan comes
+                # only from an inf or an overflowing value, whose own point
+                # escaped at an earlier step, and settle reads only a column's
+                # first event.
+                e = np.abs(b[1 : steps + 3]).astype(float) > escape_lim
+                live &= ~settle(rows, b, d, (e[:-2] | e[1:-1] | e[2:]) & live)
                 b[:3] = b[steps : steps + 3]
                 b[:3, ~live] = c
                 size = -(-np.count_nonzero(live) // _ROW_BLOCK) * _ROW_BLOCK
@@ -948,7 +955,9 @@ def heteroclinic_from_symmetry(p, r, bracket, samples=600):
     those steps and takes each orbit's first event, bitwise as if (N, 3)
     points were tested after every step.  A round lasts as long as its
     slowest orbit; near a root, that one shadows the stable manifold for
-    thousands of steps.
+    thousands of steps while most orbits settle within hundreds.  So
+    bisect_sign_changes sizes each round by its live brackets: the fewer
+    there are, the more halvings one round makes, at the same roots.
 
     The cube-root conditioning of the closest approach puts the
     double-precision floor near 1e-6 for contraction rates of a few percent,

@@ -19,6 +19,7 @@ from qvpmaps import (
     stability_diagram,
     symmetric_orbit_search,
 )
+from qvpmaps import dynamics
 from qvpmaps.dynamics import (
     ELLIPTIC_PAIR,
     PERIOD_DOUBLING_BOUNDARY,
@@ -32,6 +33,8 @@ from qvpmaps.dynamics import (
     _cubic_roots,
     _fixed_point_locations,
     _second_fix_defects,
+    _speculation_depth,
+    bisect_sign_changes,
 )
 
 
@@ -498,6 +501,153 @@ class TestSymmetricOrbitSearch:
         assert symmetric_orbit_search(p, h, 4, (-2.0, 2.0), samples=0) == []
         with pytest.raises(DynamicsError, match="samples"):
             symmetric_orbit_search(p, h, 4, (-2.0, 2.0), samples=-4)
+
+    @pytest.mark.parametrize("depth", [None, 1, 6, 8])
+    def test_period4_hits_at_any_depth(self, monkeypatch, depth):
+        # the period-4 pair at alpha = 0, tau = 2 (at F2 the period-4 set is
+        # empty), pinned bit for bit; None is the live-bracket rule
+        if depth is not None:
+            monkeypatch.setattr(dynamics, "_speculation_depth", lambda n: depth)
+        p = params(0.0, 2.0)
+        hits = symmetric_orbit_search(p, reversor_for(p), 4, (-3.0, 3.0), samples=2000)
+        assert [hit.tolist() for hit in hits] == [
+            [-2.4142135623733, -1.0, 0.4142135623733001],
+            [0.41421356237318296, -1.0, -2.414213562373183],
+        ]
+
+
+def bisect_one_at_a_time(side, grid, values, rtol=0.0):
+    """Reference for bisect_sign_changes: each bracket bisected alone, one
+    midpoint per call of side."""
+    roots = []
+    for i in range(len(grid) - 1):
+        lo, hi, flo, fhi = grid[i], grid[i + 1], values[i], values[i + 1]
+        if not (np.isfinite(flo) and np.isfinite(fhi) and flo * fhi <= 0):
+            continue
+        for _ in range(dynamics._BISECTION_CAP):
+            if abs(hi - lo) <= rtol * max(1.0, abs(lo), abs(hi)):
+                break
+            mid = (lo + hi) / 2
+            if mid == lo or mid == hi:
+                break
+            fmid = side(np.array([mid]))[0]
+            if fmid * flo > 0:
+                lo, flo = mid, fmid
+            else:
+                hi = mid
+        roots.append((lo + hi) / 2)
+    return np.array(roots, dtype=grid.dtype)
+
+
+#: staircase has nan on (NAN_FLANK, 0.32): below the root 3 pi / 29 =
+#: 0.32499... of sin(29 s), between it and the lower end of its bracket
+#: (0.3, 0.35) on the grid of the tests.
+NAN_FLANK = 0.31
+
+
+def staircase(s):
+    """A cheap step function for bisect_sign_changes: the sign of sin(29 s),
+    with a nan flank next to one root."""
+    s = np.asarray(s)
+    return np.where((s > NAN_FLANK) & (s < 0.32), np.nan, np.sign(np.sin(29 * s)))
+
+
+class TestBisectSignChanges:
+    @pytest.mark.parametrize("dtype", [float, np.longdouble])
+    def test_bitwise_at_every_depth(self, monkeypatch, dtype):
+        grid = np.linspace(-1.0, 1.0, 41).astype(dtype)
+        values = staircase(grid)
+        want = bisect_one_at_a_time(staircase, grid, values)
+        assert len(want) == 20  # 19 roots, and the sample at 0 brackets two
+        got = {None: bisect_sign_changes(staircase, grid, values)}
+        for depth in range(1, 9):
+            monkeypatch.setattr(dynamics, "_speculation_depth", lambda n, d=depth: d)
+            got[depth] = bisect_sign_changes(staircase, grid, values)
+        for roots in got.values():
+            # the same values and signs: bitwise, without long double's padding
+            assert roots.dtype == want.dtype
+            assert np.array_equal(roots, want)
+            assert np.array_equal(np.signbit(roots), np.signbit(want))
+
+    @pytest.mark.parametrize("n_live, depth", [(1, 8), (14, 5), (24, 4), (48, 3), (1000, 1)])
+    def test_depth_rule(self, n_live, depth):
+        assert _speculation_depth(n_live) == depth
+
+    def test_depth_rule_is_the_largest_within_the_round_size(self):
+        for n in range(1, 700):
+            d = _speculation_depth(n)
+            assert 1 <= d <= 8
+            assert d == 1 or (2**d - 1) * n <= 512
+            assert d == 8 or (2 ** (d + 1) - 1) * n > 512
+
+    def test_first_round_evaluates_the_rule_depth(self):
+        grid = np.linspace(-1.0, 1.0, 41)
+        sizes = []
+
+        def side(s):
+            sizes.append(len(s))
+            return staircase(s)
+
+        bisect_sign_changes(side, grid, staircase(grid))
+        assert sizes[0] == 20 * (2 ** _speculation_depth(20) - 1) == 20 * 15
+
+    def test_nan_moves_hi(self):
+        grid = np.linspace(-1.0, 1.0, 41)
+        roots = bisect_sign_changes(staircase, grid, staircase(grid))
+        # the bracket (0.3, 0.35) closes on the nan flank, not on 3 pi / 29
+        k = np.flatnonzero((roots > 0.3) & (roots < 0.35))
+        assert len(k) == 1
+        assert abs(roots[k[0]] - NAN_FLANK) <= 1e-15
+        assert abs(roots[k[0]] - 3 * math.pi / 29) > 0.01
+
+    def test_rtol_stop(self):
+        # the bracket (0, 1) halves until its width 2^-10 is at most 1e-3
+        side = lambda s: np.sign(s - 1 / 3)
+        grid = np.array([0.0, 1.0])
+        root = bisect_sign_changes(side, grid, side(grid), rtol=1e-3)
+        assert root.tolist() == [341.5 / 1024]
+
+    def test_halving_cap(self, monkeypatch):
+        # towards 0 from (-1, 1) the midpoints never meet an end before the
+        # cap: lo = -2^-(cap - 1) and hi = 0 after cap halvings
+        side = lambda s: np.where(s < 0, -1.0, 1.0)
+        grid = np.array([-1.0, 1.0])
+        root = bisect_sign_changes(side, grid, side(grid))
+        assert root.tolist() == [-(0.5 ** dynamics._BISECTION_CAP)]
+        monkeypatch.setattr(dynamics, "_BISECTION_CAP", 7)
+        assert bisect_sign_changes(side, grid, side(grid)).tolist() == [-(0.5**7)]
+
+    def test_midpoint_equal_to_an_end(self):
+        # adjacent doubles: the first midpoint rounds onto lo, which stops the
+        # bracket after one call of side
+        lo = 1.0
+        grid = np.array([lo, np.nextafter(lo, 2.0)])
+        calls = []
+
+        def side(s):
+            calls.append(s.copy())
+            return np.where(s > lo, 1.0, -1.0)
+
+        assert bisect_sign_changes(side, grid, side(grid)).tolist() == [lo]
+        assert len(calls) == 2
+        assert np.all(calls[1] == lo)
+
+    def test_zero_brackets(self):
+        def side(s):
+            raise AssertionError("no bracket, so no midpoint to evaluate")
+
+        for values in ([1.0, 2.0, 0.5], [-1.0, np.nan, 1.0], [np.nan, np.nan, np.nan]):
+            roots = bisect_sign_changes(side, np.array([0.0, 1.0, 2.0]), np.array(values))
+            assert roots.shape == (0,)
+        assert bisect_sign_changes(side, np.array([]), np.array([])).shape == (0,)
+
+    def test_roots_in_grid_order(self):
+        grid = np.linspace(-1.0, 1.0, 41)
+        up = bisect_sign_changes(staircase, grid, staircase(grid))
+        down = bisect_sign_changes(staircase, grid[::-1], staircase(grid[::-1]))
+        assert np.all(np.diff(up) > 0)
+        assert np.all(np.diff(down) < 0)
+        assert len(up) == len(down)
 
 
 class TestPeriod2Line:

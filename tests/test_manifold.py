@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qvpmaps import GenericMapParams, escape_bound, fixed_points, reversor_for
-from qvpmaps import manifold
+from qvpmaps import dynamics, manifold
 from qvpmaps.dynamics import DynamicsError
 from qvpmaps.manifold import (
     ManifoldError,
@@ -372,6 +372,18 @@ class TestHeteroclinicLockstep:
         for h, s in zip(hits, want):
             assert abs(h.s - s) <= 1e-12
             assert h.forward_distance < 1e-6
+
+    def test_same_roots_at_any_depth(self, monkeypatch, fig2):
+        # the bisection's depth per round changes its cost, not its walk
+        p, _ = fig2
+        got = {}
+        for depth in (None, 3, 6):  # None: the live-bracket rule
+            if depth is not None:
+                monkeypatch.setattr(dynamics, "_speculation_depth", lambda n, d=depth: d)
+            hits = heteroclinic_from_symmetry(p, reversor_for(p), (-0.2, -0.05), samples=60)
+            got[depth] = [(h.s, h.forward_distance) for h in hits]
+        assert len(got[None]) == 3
+        assert got[3] == got[None] == got[6]
 
     def test_empty_grid(self, fig2):
         p, _ = fig2
