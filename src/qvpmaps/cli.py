@@ -147,6 +147,10 @@ def _load_map(path):
         raise CliError(f"{path}: invalid map file: {exc}")
 
 
+#: The parameters of GenericMapParams.make, in its order.
+_PARAM_NAMES = ("alpha", "tau", "sigma", "a", "b", "c")
+
+
 def _params_from_args(args):
     sources = [args.params is not None, args.alpha is not None]
     if sum(sources) != 1:
@@ -160,25 +164,19 @@ def _params_from_args(args):
                 nf = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"{args.params}: {exc}")
-        block = nf.get("generic") or nf.get("params")
-        if not block or "alpha" not in block:
+        block = (nf.get("generic") or nf.get("params")) if isinstance(nf, dict) else None
+        if not isinstance(block, dict) or "alpha" not in block:
             raise CliError(f"{args.params}: no usable generic/case-I parameters")
-        return GenericMapParams.make(
-            alpha=block["alpha"],
-            tau=block["tau"],
-            sigma=block.get("sigma", 0.0),
-            a=block["a"],
-            b=block["b"],
-            c=block["c"],
-        )
-    return GenericMapParams.make(
-        alpha=args.alpha,
-        tau=args.tau,
-        sigma=args.sigma,
-        a=args.a,
-        b=args.b,
-        c=args.c,
-    )
+        values = {"sigma": 0.0, **block}
+        for name in _PARAM_NAMES:
+            try:
+                float(values[name])
+            except KeyError:
+                raise CliError(f"{args.params}: parameter {name} is missing") from None
+            except (OverflowError, TypeError, ValueError):
+                raise CliError(f"{args.params}: parameter {name} is not a number") from None
+        return GenericMapParams.make(*(values[name] for name in _PARAM_NAMES))
+    return GenericMapParams.make(*(getattr(args, name) for name in _PARAM_NAMES))
 
 
 def _add_param_flags(sub):
@@ -506,15 +504,15 @@ def cmd_symmetric(args):
     r = reversor_for(p, seed=args.seed)
     if r is None:
         raise PredicateFailure("map is not reversible (a != c)")
+    if args.samples < 0:
+        raise CliError(f"samples must be at least 0 (got {args.samples})")
     if args.heteroclinic:
         pts = heteroclinic_from_symmetry(
             p, r, (args.s_min, args.s_max), samples=args.samples
         )
         pts = [pt.point for pt in pts]
     else:
-        pts = symmetric_orbit_search(
-            p, r, args.period, (args.s_min, args.s_max), samples=args.samples
-        )
+        pts = symmetric_orbit_search(p, r, args.period, (args.s_min, args.s_max))
     xyz = np.reshape(pts, (-1, 3))
     meta = _meta(
         args,
@@ -596,7 +594,10 @@ def build_parser():
     c.add_argument("--heteroclinic", action="store_true")
     c.add_argument("--s-min", type=float, default=-2.0)
     c.add_argument("--s-max", type=float, default=2.0)
-    c.add_argument("--samples", type=int, default=400)
+    c.add_argument(
+        "--samples", type=int, default=400,
+        help="scan grid of the --heteroclinic search (--period does not read it)",
+    )
     c.add_argument("--out", default="-")
     c.set_defaults(func=cmd_symmetric)
     return parser

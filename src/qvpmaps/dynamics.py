@@ -63,7 +63,8 @@ class GenericMapParams:
         bad = [k for k, v in named.items() if not math.isfinite(float(v))]
         if bad:
             raise DynamicsError(f"parameter {', '.join(bad)} is not a finite number")
-        return cls(float(alpha), float(tau), float(sigma), QuadraticForm2(a, b, c))
+        return cls(float(alpha), float(tau), float(sigma),
+                   QuadraticForm2(float(a), float(b), float(c)))
 
     def coeff_sum(self):
         return self.quad.coeff_sum()
@@ -478,11 +479,6 @@ _ROUND_MIDPOINTS = 512
 _MAX_DEPTH = 8
 #: Halvings after which a bracket stops, converged or not.
 _BISECTION_CAP = 160
-#: Relative bracket width at which symmetric_orbit_search stops bisecting.
-SYMMETRIC_BISECT_RTOL = 1e-12
-#: symmetric_orbit_search keeps a root whose half-orbit defects are within
-#: 10 times this and whose orbit closes up to |f^period(x) - x| <= this.
-SYMMETRIC_CERTIFY_TOL = 1e-9
 
 
 def _speculation_depth(n_live):
@@ -492,7 +488,7 @@ def _speculation_depth(n_live):
     return min(_MAX_DEPTH, max(1, (_ROUND_MIDPOINTS // n_live + 1).bit_length() - 1))
 
 
-def bisect_sign_changes(side, grid, values, rtol=0.0):
+def bisect_sign_changes(side, grid, values):
     """Roots of the sign changes of values, sampled on grid, bisected in lockstep.
 
     side(s) gives the values at an array of parameters s, nan where there is
@@ -500,10 +496,9 @@ def bisect_sign_changes(side, grid, values, rtol=0.0):
     lower * upper <= 0 bracket a root; all brackets are bisected together in
     grid's dtype.  The lower end lo moves to a midpoint whose value has the
     sign of lo's; otherwise the upper end hi moves, on a nan value too (the
-    flank re-resolves later).  A bracket stops after _BISECTION_CAP halvings,
-    when the midpoint equals an end, or when |hi - lo| <= rtol * max(1, |lo|,
-    |hi|), which rtol = 0 never meets.  Returns (lo + hi) / 2 per bracket, in
-    grid order.
+    flank re-resolves later).  A bracket stops after _BISECTION_CAP halvings
+    or when the midpoint equals an end, so no width tolerance ends it early.
+    Returns (lo + hi) / 2 per bracket, in grid order.
 
     A round evaluates, in one call of side, every dyadic midpoint down to d
     levels below each live bracket, then walks each bracket's tree of
@@ -538,8 +533,6 @@ def bisect_sign_changes(side, grid, values, rtol=0.0):
             for k in range(depth):
                 if halvings[b] == _BISECTION_CAP:
                     break
-                if abs(hi[b] - lo[b]) <= rtol * max(1.0, abs(lo[b]), abs(hi[b])):
-                    break
                 halvings[b] += 1
                 mid = levels[k][i, node]
                 if mid == lo[b] or mid == hi[b]:
@@ -557,60 +550,60 @@ def bisect_sign_changes(side, grid, values, rtol=0.0):
     return (lo + hi) / 2
 
 
-def _fix_line_grid(bracket, samples):
-    """samples evenly spaced values of s over the bracket, ends included: the
-    scan grid of the searches along Fix(h)."""
-    if int(samples) < 0:
-        raise DynamicsError(f"samples must be at least 0 (got {samples})")
-    return np.linspace(bracket[0], bracket[1], int(samples))
+#: symmetric_orbit_search keeps a root whose half-orbit defects are within
+#: 10 times this and whose orbit closes up to |f^period(x) - x| <= this.
+SYMMETRIC_CERTIFY_TOL = 1e-9
 
 
-def symmetric_orbit_search(p, r, period, bracket, samples=10_000):
-    """Symmetric periodic points found by a 1D search along Fix(h).
+def symmetric_orbit_search(p, r, period, bracket):
+    """Symmetric periodic points on Fix(h), as the real roots of a polynomial.
 
     For even period 2m a point x in Fix(h) with f^m(x) in Fix(h) closes up;
     for odd period 2m-1 the half-orbit condition is f^m(x) in Fix(f o h).
-    The half orbits of a uniform sample of the bracket are computed in
-    lockstep, the sign changes of each defining function are bisected by
-    bisect_sign_changes, and all roots are certified in one batch (see
-    SYMMETRIC_CERTIFY_TOL).  Hits come in root order; one within 1e-8 of an
-    earlier hit is dropped.
+    Along Fix(h) both defining functions of that condition are polynomials
+    in s; the one of lower degree, 2^(m-1), comes from running fix_line and
+    step on s = Polynomial([0, 1]) in an object array, whose ufuncs call the
+    polynomial's operators.  Its real roots (a double root comes out as a
+    close complex pair) take 3 Newton steps on the float64 half orbit; those
+    in the closed bracket are certified in one batch (see
+    SYMMETRIC_CERTIFY_TOL).  Hits come in increasing s; one within 1e-8 of
+    an earlier hit is dropped.
     """
     period = int(period)
     if period < 1:
         raise DynamicsError("period must be >= 1")
+    m = (period + 1) // 2
+    if period > 16:
+        # from degree 256 on, the roots and products cost seconds to gigabytes
+        raise DynamicsError(
+            f"period {period} is above 16: its defect polynomial has degree {2 ** (m - 1)}"
+        )
     if period % 2 == 0:
-        m = period // 2
         defects = r.fix_defects
     else:
-        m = (period + 1) // 2
         defects = lambda pt: _second_fix_defects(p, r, pt)
 
-    def half_orbit(s):
-        """f^m of the points of Fix(h) at s, in lockstep; nan rows for orbits
-        that stop being finite or leave the 1e12 box on the way."""
-        pt = r.fix_line(np.atleast_1d(s))
-        live = np.arange(len(pt))
+    def half_defects(s):
+        pt = r.fix_line(s)
         for _ in range(m):
-            moved = p.step(pt[live])
-            ok = np.all(np.isfinite(moved), axis=-1) & (np.max(np.abs(moved), axis=-1) <= 1e12)
-            pt[live] = moved
-            pt[live[~ok]] = np.nan
-            live = live[ok]
-        return pt
+            pt = p.step(pt)
+        return defects(pt)
 
-    grid = _fix_line_grid(bracket, samples)
-    scan = defects(half_orbit(grid))
-    roots = np.concatenate([
-        bisect_sign_changes(
-            lambda s, idx=idx: defects(half_orbit(s))[idx],
-            grid, scan[idx], rtol=SYMMETRIC_BISECT_RTOL,
-        )
-        for idx in range(2)
-    ])
-    start = r.fix_line(roots)
-    with np.errstate(over="ignore", invalid="ignore"):
-        on_line = np.max(np.abs(defects(half_orbit(roots))), axis=0)
+    s = np.array([np.polynomial.Polynomial([0, 1])], dtype=object)
+    polys = [d[0] for d in half_defects(s)]
+    idx = int(polys[1].degree() < polys[0].degree())
+    z = polys[idx].roots()
+    roots = z.real[np.abs(z.imag) <= 1e-6 * np.maximum(1.0, np.abs(z))]
+    slope = polys[idx].deriv()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(3):
+            # a zero slope gives a non-finite step, which leaves the root be
+            newton = half_defects(roots)[idx] / slope(roots)
+            roots = np.where(np.isfinite(newton), roots - newton, roots)
+        lo, hi = sorted(bracket)
+        roots = np.sort(roots[(roots >= lo) & (roots <= hi)])
+        start = r.fix_line(roots)
+        on_line = np.max(np.abs(half_defects(roots)), axis=0)
         pt = start
         for _ in range(period):
             pt = p.step(pt)

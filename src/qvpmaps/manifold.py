@@ -23,7 +23,6 @@ from .dynamics import (
     DynamicsError,
     FixedPointReport,
     GenericMapParams,
-    _fix_line_grid,
     _libm_pow,
     bisect_sign_changes,
     escape_bound,
@@ -965,7 +964,9 @@ def heteroclinic_from_symmetry(p, r, bracket, samples=600):
     (as on x86-64 Linux); where it is float64 the search runs in double.
     """
     episode_sides, certify = _heteroclinic_stages(p, r)
-    grid = _fix_line_grid(bracket, samples).astype(np.longdouble)
+    if int(samples) < 0:
+        raise DynamicsError(f"samples must be at least 0 (got {samples})")
+    grid = np.linspace(bracket[0], bracket[1], int(samples)).astype(np.longdouble)
     roots = bisect_sign_changes(episode_sides, grid, episode_sides(grid))
     hits = []
     for s_root, f in zip(roots, certify(roots)):

@@ -103,6 +103,42 @@ def test_non_finite_parameters_are_one_error_line(tmp_path, source):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("text, name", [
+    ('[{"alpha": 0.0, "tau": 0.0, "a": 0.5, "b": 0.0, "c": 0.5}]', "parameters"),
+    ('{"generic": {"alpha": 0.0, "a": 0.5, "b": 0.0, "c": 0.5}}', "tau"),
+    ('{"generic": {"alpha": "x", "tau": 0.0, "a": 0.5, "b": 0.0, "c": 0.5}}', "alpha"),
+], ids=["list", "no-tau", "alpha-string"])
+def test_malformed_params_file_is_one_error_line(tmp_path, text, name):
+    (tmp_path / "nf.json").write_text(text)
+    cp = run_cli("fixed-points", "--params", tmp_path / "nf.json", "--out", tmp_path / "out.csv")
+    assert cp.returncode == 1
+    lines = cp.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and name in lines[0], cp.stderr
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_params_file_numbers_may_be_strings(tmp_path):
+    # every parameter goes through float(), the quadratic form's too
+    outs = []
+    for a in ("0.5", 0.5):
+        (tmp_path / "nf.json").write_text(json.dumps(
+            {"generic": {"alpha": -1.0, "tau": "0", "a": a, "b": 0, "c": 0.5}}))
+        cp = run_cli("fixed-points", "--params", tmp_path / "nf.json", "--out", "-")
+        assert cp.returncode == 0, cp.stderr
+        outs.append(cp.stdout)
+    assert outs[0] == outs[1]
+
+
+def test_import_leaves_numpy_polynomial_unloaded():
+    # symmetric_orbit_search reaches np.polynomial on first use; importing it
+    # up front would cost every CLI call its load time
+    path = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
+    code = "import sys, qvpmaps.cli; print('numpy.polynomial' in sys.modules)"
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                        env={**os.environ, "PYTHONPATH": path})
+    assert cp.stdout.strip() == "False", cp.stderr
+
+
 def test_classify_shear(shear_file, tmp_path):
     out = tmp_path / "report.json"
     cp = run_cli("classify", shear_file, "--out", out)
@@ -379,6 +415,15 @@ def test_out_of_range_inputs_are_one_error_line(tmp_path, argv, name):
     lines = cp.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and name in lines[0], cp.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_symmetric_period_above_16_is_one_error_line(tmp_path):
+    out = tmp_path / "out.csv"
+    cp = run_cli("symmetric", "--alpha", 0.0, "--tau", 2.0, "--period", 17, "--out", out)
+    assert cp.returncode == 1
+    lines = cp.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: period 17"), cp.stderr
+    assert not out.exists()
 
 
 def test_manifold_depth_zero_with_one_subring_names_the_ring_count(tmp_path):
@@ -735,3 +780,28 @@ def test_algebra_outputs_match_benchmark_digests(tmp_path, monkeypatch):
                 assert (rc == 0) == (want[out.name] is not None), out.name
     assert len(got) == 660
     assert got == want
+
+
+@pytest.mark.skipif(
+    not (sys.platform.startswith("linux") and platform.machine() in ("x86_64", "AMD64")),
+    reason="the recorded points are of x86-64 Linux outputs, with 80-bit long double",
+)
+def test_symline_outputs_pass_the_benchmark_gates(tmp_path, monkeypatch):
+    """The benchmark's symline part, run once, passes its own gates: the 12
+    het.csv points within 1e-7 of the recorded ones and an empty period-4
+    set.  het.csv has no byte-identical digest, so this is its tier-1 check."""
+    bench = BENCH_REFERENCE.parent
+    modules = {}
+    for name in ("maps", "workloads"):
+        spec = importlib.util.spec_from_file_location(name, bench / f"{name}.py")
+        modules[name] = importlib.util.module_from_spec(spec)
+        # workloads.py imports maps.py as a top-level module, and its
+        # dataclasses look their module up by name
+        monkeypatch.setitem(sys.modules, name, modules[name])
+        spec.loader.exec_module(modules[name])
+    ref = json.loads((BENCH_REFERENCE / "symline.json").read_text())
+    assert len(ref["heteroclinic"]) == 12 and ref["period4"] == []
+    monkeypatch.chdir(tmp_path)
+    symline = modules["workloads"].Symline(0, ref)
+    outcomes = [op.run() for op in symline.ops]
+    assert symline.check(outcomes) == []

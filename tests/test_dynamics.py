@@ -29,6 +29,7 @@ from qvpmaps.dynamics import (
     DynamicsError,
     NonGenericError,
     NotPositiveDefiniteError,
+    SYMMETRIC_CERTIFY_TOL,
     Reversor,
     _cubic_roots,
     _fixed_point_locations,
@@ -429,47 +430,97 @@ class TestBatchedStep:
             assert np.array_equal(got, want)
 
 
+SQRT2 = math.sqrt(2.0)
+
+
+def grid_symmetric_search(p, r, period, bracket, samples=10_000):
+    """Reference: the grid search that symmetric_orbit_search replaced.  The
+    half orbits of a uniform sample of the bracket, with nan rows for orbits
+    that stop being finite or leave the 1e12 box, have the sign changes of
+    each defining function bisected by bisect_sign_changes; the roots are
+    certified as by the library."""
+    m = (period + 1) // 2
+    if period % 2 == 0:
+        defects = r.fix_defects
+    else:
+        defects = lambda pt: _second_fix_defects(p, r, pt)
+
+    def half_orbit(s):
+        pt = r.fix_line(np.atleast_1d(s))
+        live = np.arange(len(pt))
+        for _ in range(m):
+            moved = p.step(pt[live])
+            ok = np.all(np.isfinite(moved), axis=-1) & (np.max(np.abs(moved), axis=-1) <= 1e12)
+            pt[live] = moved
+            pt[live[~ok]] = np.nan
+            live = live[ok]
+        return pt
+
+    grid = np.linspace(bracket[0], bracket[1], samples)
+    scan = defects(half_orbit(grid))
+    roots = np.concatenate([
+        bisect_sign_changes(lambda s, idx=idx: defects(half_orbit(s))[idx], grid, scan[idx])
+        for idx in range(2)
+    ])
+    start = r.fix_line(roots)
+    with np.errstate(over="ignore", invalid="ignore"):
+        on_line = np.max(np.abs(defects(half_orbit(roots))), axis=0)
+        closed = np.max(np.abs(orbit_end(p, start, period) - start), axis=-1)
+    certified = (on_line <= 10 * SYMMETRIC_CERTIFY_TOL) & (closed <= SYMMETRIC_CERTIFY_TOL)
+    hits = []
+    for x in start[certified]:
+        if not any(np.max(np.abs(x - h)) < 1e-8 for h in hits):
+            hits.append(x)
+    return hits
+
+
+def orbit_end(p, pt, n):
+    for _ in range(n):
+        pt = p.step(pt)
+    return pt
+
+
 class TestSymmetricOrbitSearch:
     @pytest.mark.parametrize(
-        "period, alpha, tau, bracket, samples, want",
+        "period, alpha, tau, bracket, want",
         [
             pytest.param(
-                4, 0.0, 2.0, (-3.0, 3.0), 600,
-                [[-2.414213562372976, -1.0, 0.4142135623729759],
-                 [0.4142135623730727, -1.0, -2.4142135623730727]],
+                4, 0.0, 2.0, (-3.0, 3.0),
+                [[-1.0 - SQRT2, -1.0, SQRT2 - 1.0], [SQRT2 - 1.0, -1.0, -1.0 - SQRT2]],
                 id="0.0-want0",
             ),
+            # a root exactly at the end s = -3 of the bracket
             pytest.param(
-                4, -1.0, 2.0, (-3.0, 3.0), 600,
-                [[-2.999999999998834, -1.0, 0.9999999999988338],
-                 [1.0000000000000975, -1.0, -3.0000000000000977]],
+                4, -1.0, 2.0, (-3.0, 3.0),
+                [[-3.0, -1.0, 1.0], [1.0, -1.0, -3.0]],
                 id="-1.0-want1",
             ),
             # odd period: the half orbit ends on Fix(f o h); at the saddle-node
             # boundary alpha = tau^2/4 the fixed point is the one hit
             pytest.param(
-                1, 0.8 * 0.8 / 4.0, 0.8, (-2.0, 2.0), 2000,
-                [[-0.40000000000027963, -0.4, -0.3999999999997204]],
+                1, 0.8 * 0.8 / 4.0, 0.8, (-2.0, 2.0), [[-0.4, -0.4, -0.4]],
                 id="period1-tau0.8",
             ),
             pytest.param(
-                1, -1.2 * -1.2 / 4.0, -1.2, (-2.0, 2.0), 2000,
-                [[0.5999999999997203, 0.6, 0.6000000000002796]],
+                1, -1.2 * -1.2 / 4.0, -1.2, (-2.0, 2.0), [[0.6, 0.6, 0.6]],
                 id="period1-tau-1.2",
             ),
         ],
     )
-    def test_period4_hits_exact(self, period, alpha, tau, bracket, samples, want):
+    def test_period4_hits_exact(self, period, alpha, tau, bracket, want):
+        # the closed forms to within 4 ulps in every coordinate
         p = params(alpha, tau)
         h = reversor_for(p)
-        hits = symmetric_orbit_search(p, h, period, bracket, samples=samples)
-        assert [hit.tolist() for hit in hits] == want
+        hits = np.array(symmetric_orbit_search(p, h, period, bracket))
+        want = np.array(want)
+        assert hits.shape == want.shape
+        assert np.all(np.abs(hits - want) <= 4 * np.spacing(np.abs(want)))
 
     def test_reversed_bracket(self):
         p = params(0.0, 2.0)
         h = reversor_for(p)
-        fwd = symmetric_orbit_search(p, h, 4, (-3.0, 3.0), samples=600)
-        back = symmetric_orbit_search(p, h, 4, (3.0, -3.0), samples=600)
+        fwd = symmetric_orbit_search(p, h, 4, (-3.0, 3.0))
+        back = symmetric_orbit_search(p, h, 4, (3.0, -3.0))
         assert len(back) == len(fwd) == 2
         for pt in back:
             assert min(np.max(np.abs(pt - f)) for f in fwd) < 1e-9
@@ -480,7 +531,7 @@ class TestSymmetricOrbitSearch:
         alpha = tau * tau / 4.0
         p = params(alpha, tau)
         h = reversor_for(p)
-        hits = symmetric_orbit_search(p, h, 1, (-2.0, 2.0), samples=2000)
+        hits = symmetric_orbit_search(p, h, 1, (-2.0, 2.0))
         assert hits
         x_star = -tau / 2.0
         assert any(np.max(np.abs(h_pt - x_star)) < 1e-6 for h_pt in hits)
@@ -488,35 +539,84 @@ class TestSymmetricOrbitSearch:
     def test_generic_parameters_empty(self):
         p = params(-0.5, 0.3)
         h = reversor_for(p)
-        assert symmetric_orbit_search(p, h, 2, (-1.5, 1.5), samples=500) == []
+        assert symmetric_orbit_search(p, h, 2, (-1.5, 1.5)) == []
 
     def test_empty_bracket(self):
         p = params(0.0, -0.3)
         h = reversor_for(p)
-        assert symmetric_orbit_search(p, h, 2, (50.0, 51.0), samples=50) == []
+        assert symmetric_orbit_search(p, h, 2, (50.0, 51.0)) == []
 
-    def test_sample_counts(self):
-        p = params(0.0, -0.3)
-        h = reversor_for(p)
-        assert symmetric_orbit_search(p, h, 4, (-2.0, 2.0), samples=0) == []
-        with pytest.raises(DynamicsError, match="samples"):
-            symmetric_orbit_search(p, h, 4, (-2.0, 2.0), samples=-4)
-
-    @pytest.mark.parametrize("depth", [None, 1, 6, 8])
-    def test_period4_hits_at_any_depth(self, monkeypatch, depth):
-        # the period-4 pair at alpha = 0, tau = 2 (at F2 the period-4 set is
-        # empty), pinned bit for bit; None is the live-bracket rule
-        if depth is not None:
-            monkeypatch.setattr(dynamics, "_speculation_depth", lambda n: depth)
+    def test_hits_in_increasing_s(self):
         p = params(0.0, 2.0)
-        hits = symmetric_orbit_search(p, reversor_for(p), 4, (-3.0, 3.0), samples=2000)
-        assert [hit.tolist() for hit in hits] == [
-            [-2.4142135623733, -1.0, 0.4142135623733001],
-            [0.41421356237318296, -1.0, -2.414213562373183],
-        ]
+        h = reversor_for(p)
+        fwd = symmetric_orbit_search(p, h, 4, (-3.0, 3.0))
+        back = symmetric_orbit_search(p, h, 4, (3.0, -3.0))
+        assert np.all(np.diff([x[0] for x in fwd]) > 0)
+        assert np.array_equal(fwd, back)
+
+    def test_double_root_found(self):
+        # at alpha = tau = sigma = 0 the fixed point 0 lies on Fix(h); the
+        # period-3 defect touches 0 there without a sign change, so the grid
+        # search misses what the roots of the polynomial hold
+        p = params(0.0, 0.0)
+        h = reversor_for(p)
+        assert grid_symmetric_search(p, h, 3, (-3.0, 3.0)) == []
+        hits = symmetric_orbit_search(p, h, 3, (-3.0, 3.0))
+        assert [x.tolist() for x in hits] == [[0.0, 0.0, 0.0]]
+
+    def test_high_periods(self):
+        # at alpha = 0, tau = 2 the period-4 pair s = -1 -+ sqrt 2 is found at
+        # period 12; at period 16 only s = sqrt 2 - 1: near s = -1 - sqrt 2
+        # the degree-128 polynomial's coefficients lose the root to rounding
+        # (the grid search with its old 1e-12 bisection width missed it too)
+        p = params(0.0, 2.0)
+        h = reversor_for(p)
+        want = [-1.0 - SQRT2, SQRT2 - 1.0]
+        for period, roots in ((12, want), (16, want[1:])):
+            hits = symmetric_orbit_search(p, h, period, (-3.0, 3.0))
+            assert len(hits) == len(roots)
+            for x, s in zip(hits, roots):
+                assert abs(x[0] - s) <= 4 * np.spacing(abs(s))
+
+    @pytest.mark.parametrize("period", [0, 17, 32])
+    def test_refused_periods(self, period):
+        p = params(0.0, 2.0)
+        with pytest.raises(DynamicsError, match="period"):
+            symmetric_orbit_search(p, reversor_for(p), period, (-3.0, 3.0))
+
+    def test_agrees_with_the_grid_search(self):
+        # reversible maps (a = c), on the alpha = 0 and saddle-node slices
+        # and at generic alpha: each hit of the grid search matched by one
+        # hit within 1e-8, and each hit a periodic point on Fix(h).  A hit
+        # may be new where the grid search saw no sign change (see
+        # test_double_root_found).
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hyp.settings(max_examples=25, deadline=None, derandomize=True, database=None)
+        @hyp.given(
+            a=st.floats(0.2, 0.8), tau=st.floats(-3.0, 3.0), sigma=st.floats(-0.5, 0.5),
+            kind=st.sampled_from(["zero", "saddle-node", "generic"]),
+            generic=st.floats(-1.0, 1.0),
+        )
+        def check(a, tau, sigma, kind, generic):
+            alpha = {"zero": 0.0, "saddle-node": (tau - sigma) ** 2 / 4.0}.get(kind, generic)
+            p = params(alpha, tau, sigma, a, 1.0 - 2.0 * a, a)
+            h = reversor_for(p)
+            for period in range(1, 7):
+                got = symmetric_orbit_search(p, h, period, (-3.0, 3.0))
+                want = grid_symmetric_search(p, h, period, (-3.0, 3.0))
+                for y in want:
+                    assert sum(np.max(np.abs(x - y)) < 1e-8 for x in got) == 1
+                for x in got:
+                    assert sum(np.max(np.abs(x - y)) < 1e-8 for y in want) <= 1
+                    assert np.max(np.abs(h(x) - x)) <= 1e-12 * (1.0 + np.max(np.abs(x)))
+                    assert np.max(np.abs(orbit_end(p, x, period) - x)) <= SYMMETRIC_CERTIFY_TOL
+
+        check()
 
 
-def bisect_one_at_a_time(side, grid, values, rtol=0.0):
+def bisect_one_at_a_time(side, grid, values):
     """Reference for bisect_sign_changes: each bracket bisected alone, one
     midpoint per call of side."""
     roots = []
@@ -525,8 +625,6 @@ def bisect_one_at_a_time(side, grid, values, rtol=0.0):
         if not (np.isfinite(flo) and np.isfinite(fhi) and flo * fhi <= 0):
             continue
         for _ in range(dynamics._BISECTION_CAP):
-            if abs(hi - lo) <= rtol * max(1.0, abs(lo), abs(hi)):
-                break
             mid = (lo + hi) / 2
             if mid == lo or mid == hi:
                 break
@@ -599,13 +697,6 @@ class TestBisectSignChanges:
         assert len(k) == 1
         assert abs(roots[k[0]] - NAN_FLANK) <= 1e-15
         assert abs(roots[k[0]] - 3 * math.pi / 29) > 0.01
-
-    def test_rtol_stop(self):
-        # the bracket (0, 1) halves until its width 2^-10 is at most 1e-3
-        side = lambda s: np.sign(s - 1 / 3)
-        grid = np.array([0.0, 1.0])
-        root = bisect_sign_changes(side, grid, side(grid), rtol=1e-3)
-        assert root.tolist() == [341.5 / 1024]
 
     def test_halving_cap(self, monkeypatch):
         # towards 0 from (-1, 1) the midpoints never meet an end before the
